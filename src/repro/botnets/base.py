@@ -103,6 +103,23 @@ class PeerList:
         pairs.sort(key=lambda item: key_int ^ from_bytes(item[0], "big"))
         return pairs[:limit]
 
+    def propagation_candidates(
+        self, min_goodcount: int, exclude_ip: int, exclude_id: bytes
+    ) -> List[Tuple[bytes, Endpoint, int]]:
+        """(bot_id, endpoint, goodcount) rows, in insertion order, of
+        the entries with goodcount >= ``min_goodcount`` that are neither
+        at ``exclude_ip`` nor ``exclude_id`` (the requester).
+
+        The peers a Sality bot may name in a peer-exchange reply; the
+        slab backend overrides this with a column-level scan."""
+        return [
+            (entry.bot_id, entry.endpoint, entry.goodcount)
+            for entry in self._entries.values()
+            if entry.goodcount >= min_goodcount
+            and entry.endpoint.ip != exclude_ip
+            and entry.bot_id != exclude_id
+        ]
+
     def _subnet_conflict(self, candidate: PeerEntry) -> Optional[PeerEntry]:
         if self._subnets is None:
             return None

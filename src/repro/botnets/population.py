@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.botnets.base import BotNode
 from repro.botnets.graph import ConnectivityGraph
@@ -168,6 +168,31 @@ class PopulationBuilder:
     def bootstrap(self) -> None:
         """Seed initial peer lists.  Family-specific."""
         raise NotImplementedError
+
+    def bootstrap_picks(
+        self, rng: random.Random, routable: Sequence[BotNode]
+    ) -> Iterator[Tuple[BotNode, List[BotNode]]]:
+        """Each bot with its bootstrap peers, drawn from ``rng``.
+
+        A bot's peers are ``rng.sample(candidates, k)`` over
+        ``candidates = [p for p in routable if p is not bot]``, with
+        ``k = min(bootstrap_peers, len(routable), len(candidates))``.
+        ``random.sample`` picks by index, so this samples ``range(n)``
+        and steps over the bot's own position instead: the same draws
+        and the same peers, in O(k) per bot rather than a candidate
+        list the size of the routable population.
+        """
+        n = len(routable)
+        per_bot = min(self.config.bootstrap_peers, n)
+        position = {id(bot): index for index, bot in enumerate(routable)}
+        for bot in self.bots.values():
+            own = position.get(id(bot))
+            if own is None:
+                picks = rng.sample(range(n), per_bot)
+                yield bot, [routable[index] for index in picks]
+            else:
+                picks = rng.sample(range(n - 1), min(per_bot, n - 1))
+                yield bot, [routable[index if index < own else index + 1] for index in picks]
 
     # -- assembly ------------------------------------------------------------
 

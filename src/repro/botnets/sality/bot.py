@@ -283,13 +283,9 @@ class SalityBot(BotNode):
 
     def _on_peer_request(self, request: SalityMessage, src: Endpoint) -> None:
         self._plr_history.append((self.scheduler.now, src.ip))
-        candidates = [
-            entry
-            for entry in self.peer_list
-            if entry.goodcount >= self.config.goodcount_propagate_threshold
-            and entry.endpoint.ip != src.ip
-            and entry.bot_id != _id_key(request.bot_id)
-        ]
+        candidates = self.peer_list.propagation_candidates(
+            self.config.goodcount_propagate_threshold, src.ip, _id_key(request.bot_id)
+        )
         if candidates:
             # One entry per response, chosen with goodcount-weighted
             # probability: well-reputed peers are named again and
@@ -297,9 +293,9 @@ class SalityBot(BotNode):
             # requests.  This reputation skew plus the single-entry
             # limit is why Sality crawlers must hammer each bot to
             # cover its peer list (Section 4.1.5).
-            weights = [(1 + max(0, entry.goodcount)) ** 2 for entry in candidates]
-            best = self.rng.choices(candidates, weights=weights, k=1)[0]
-            payload = protocol.encode_peer_entry(int.from_bytes(best.bot_id, "big"), best.endpoint)
+            weights = [(1 + max(0, goodcount)) ** 2 for _, _, goodcount in candidates]
+            bot_id, endpoint, _ = self.rng.choices(candidates, weights=weights, k=1)[0]
+            payload = protocol.encode_peer_entry(int.from_bytes(bot_id, "big"), endpoint)
         else:
             payload = b""
         self._reply(request, src, Command.PEER_RESPONSE, payload)

@@ -40,13 +40,10 @@ class SalityNetwork(PopulationBuilder):
     def bootstrap(self) -> None:
         """Seed every bot with well-reputed routable peers."""
         rng = self.rngs.stream("bootstrap")
-        routable = [bot for bot in self.bots.values() if bot.routable]
+        routable = self.routable_bots
         if not routable:
             raise RuntimeError("Sality needs at least one routable bot")
-        per_bot = min(self.config.bootstrap_peers, len(routable))
-        for bot in self.bots.values():
-            candidates = [peer for peer in routable if peer is not bot]
-            seeds = rng.sample(candidates, min(per_bot, len(candidates)))
+        for bot, seeds in self.bootstrap_picks(rng, routable):
             bot.seed_peers([(peer.bot_id, peer.endpoint) for peer in seeds])
 
     def bootstrap_sample(self, count: int, seed: int = 0) -> List[Tuple[bytes, Endpoint]]:

@@ -19,7 +19,7 @@ parallel arrays instead:
 Behaviour is bit-for-bit identical to the object backend: iteration
 order is dict insertion order, eviction picks the first-encountered
 stalest entry, and the subnet filter keeps at most one entry per
-masked prefix.  ``tests/botnets/test_state_equivalence.py`` checks the
+masked prefix.  ``tests/botnets/test_state_properties.py`` checks the
 two backends against each other operation by operation.
 """
 
@@ -229,6 +229,25 @@ class SlabPeerList:
         )
         endpoints = slab.endpoints
         return [(ids[slot], endpoints[slot]) for _, slot in ranked[:limit]]
+
+    def propagation_candidates(self, min_goodcount: int, exclude_ip: int, exclude_id: bytes) -> list:
+        """(bot_id, endpoint, goodcount) rows, in insertion order, of
+        the entries with goodcount >= ``min_goodcount`` that are neither
+        at ``exclude_ip`` nor ``exclude_id``.
+
+        Matches ``PeerList.propagation_candidates``; read straight from
+        the slab columns, so a Sality reply builds no flyweights.
+        """
+        slab = self._slab
+        goodcount = slab.goodcount
+        endpoints = slab.endpoints
+        return [
+            (bot_id, endpoint, count)
+            for bot_id, slot in self._slots.items()
+            if (count := goodcount[slot]) >= min_goodcount
+            and (endpoint := endpoints[slot]).ip != exclude_ip
+            and bot_id != exclude_id
+        ]
 
     def _conflict_slot(self, bot_id: bytes, ip: int) -> Optional[int]:
         if self._subnets is None:

@@ -22,7 +22,8 @@ from __future__ import annotations
 from typing import Dict
 
 KEY_LEN = 20
-# Longest message we ever encrypt; keystreams are cached at this length.
+# Longest message we ever encrypt; cached keystreams grow to at most
+# this length.
 MAX_MESSAGE_LEN = 4096
 
 
@@ -32,10 +33,12 @@ def _rc4_init(key: bytes):
         raise ValueError("empty RC4 key")
     state = list(range(256))
     j = 0
-    key_len = len(key)
-    for i in range(256):
-        j = (j + state[i] + key[i % key_len]) & 0xFF
-        state[i], state[j] = state[j], state[i]
+    # Iterating the key repeated past 256 bytes saves a modulo per step.
+    for i, k in zip(range(256), key * (256 // len(key) + 1)):
+        si = state[i]
+        j = (j + si + k) & 0xFF
+        state[i] = state[j]
+        state[j] = si
     return state, 0, 0
 
 
@@ -48,9 +51,12 @@ def _rc4_prga(state, i: int, j: int, length: int):
     out = bytearray(length)
     for n in range(length):
         i = (i + 1) & 0xFF
-        j = (j + state[i]) & 0xFF
-        state[i], state[j] = state[j], state[i]
-        out[n] = state[(state[i] + state[j]) & 0xFF]
+        si = state[i]
+        j = (j + si) & 0xFF
+        sj = state[j]
+        state[i] = sj
+        state[j] = si
+        out[n] = state[(si + sj) & 0xFF]
     return bytes(out), i, j
 
 
@@ -67,14 +73,15 @@ class KeystreamCache:
     One shared instance per simulation keeps total KSA work at
     O(#distinct recipients) instead of O(#messages).  Keystreams start
     at ``INITIAL_LEN`` bytes and double (resuming the saved PRGA state)
-    only when a longer message appears, so families that derive a fresh
-    key per exchange (Sality's per-nonce keys) never pay for the
-    MAX_MESSAGE_LEN worst case on their short packets.
+    only when a longer message appears, so a key never generates more
+    than the next power of two above its longest message, and families
+    that derive a fresh key per exchange (Sality's per-nonce keys) pay
+    for packet-sized keystreams, not the MAX_MESSAGE_LEN worst case.
     """
 
-    #: First chunk of keystream computed per key; covers every Sality
-    #: packet and most Zeus messages outright.
-    INITIAL_LEN = 128
+    #: First chunk of keystream computed per key; covers most Sality
+    #: packets (12 to 65 bytes) outright.
+    INITIAL_LEN = 32
 
     def __init__(self, max_entries: int = 100_000) -> None:
         self.max_entries = max_entries

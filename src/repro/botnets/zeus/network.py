@@ -62,17 +62,14 @@ class ZeusNetwork(PopulationBuilder):
         sensors are expected to report when probed (Section 4.2).
         """
         rng = self.rngs.stream("bootstrap")
-        routable = [bot for bot in self.bots.values() if bot.routable]
+        routable = self.routable_bots
         if not routable:
             raise RuntimeError("Zeus needs at least one routable bot")
         self._proxies = [
             (bot.bot_id, bot.endpoint)
             for bot in rng.sample(routable, min(self.zconfig.proxy_bots, len(routable)))
         ]
-        per_bot = min(self.config.bootstrap_peers, len(routable))
-        for bot in self.bots.values():
-            candidates = [peer for peer in routable if peer is not bot]
-            seeds = rng.sample(candidates, min(per_bot, len(candidates)))
+        for bot, seeds in self.bootstrap_picks(rng, routable):
             bot.seed_peers([(peer.bot_id, peer.endpoint) for peer in seeds])
             bot.proxy_list = list(self._proxies)
 

@@ -39,12 +39,15 @@ class RoutabilityTable:
     dropped unless the destination previously sent traffic to the
     source's IP (which opened a hole).
 
-    A hole is stored as a bare expiry timestamp -- long runs open
-    millions of them, so there is no per-hole object.  Expired holes
-    are normally deleted when re-checked; quiet pairs are reclaimed by
-    a size-triggered sweep (deterministic: keyed on table size and
-    simulated time only, and removing an expired hole is
-    behavior-neutral).
+    Holes are grouped per endpoint, ``{endpoint: {remote_ip: expiry}}``,
+    so unbinding an endpoint or listing its holes touches only that
+    endpoint's holes -- ephemeral-port unbinds (Sality) never scan the
+    table.  A hole is a bare expiry timestamp: long runs open millions
+    of them, so there is no per-hole object.  Expired holes are
+    normally deleted when re-checked; quiet pairs are reclaimed by a
+    sweep triggered on the live hole count (deterministic: keyed on
+    that count and simulated time only, and removing an expired hole
+    is behavior-neutral).
     """
 
     #: Never sweep below this size; the threshold then doubles with the
@@ -54,8 +57,10 @@ class RoutabilityTable:
     def __init__(self, hole_ttl: float = DEFAULT_HOLE_TTL) -> None:
         self.hole_ttl = hole_ttl
         self._routable: Dict[Tuple[int, int], bool] = {}
-        # (non-routable endpoint, remote ip) -> expiry time
-        self._holes: Dict[Tuple[Tuple[int, int], int], float] = {}
+        # non-routable endpoint -> {remote ip: expiry time}; no empty
+        # inner dicts are kept.
+        self._holes: Dict[Tuple[int, int], Dict[int, float]] = {}
+        self._hole_count = 0  # holes stored, expired-but-unswept included
         self._sweep_at = self.SWEEP_MIN
 
     def register(self, endpoint: Tuple[int, int], routable: bool) -> None:
@@ -63,9 +68,9 @@ class RoutabilityTable:
 
     def unregister(self, endpoint: Tuple[int, int]) -> None:
         self._routable.pop(endpoint, None)
-        stale = [key for key in self._holes if key[0] == endpoint]
-        for key in stale:
-            del self._holes[key]
+        holes = self._holes.pop(endpoint, None)
+        if holes is not None:
+            self._hole_count -= len(holes)
 
     def is_registered(self, endpoint: Tuple[int, int]) -> bool:
         return endpoint in self._routable
@@ -76,13 +81,30 @@ class RoutabilityTable:
     def note_outbound(self, src: Tuple[int, int], dst_ip: int, now: float) -> None:
         """Record outbound traffic, opening/refreshing a punch-hole."""
         if self._routable.get(src) is False:
-            holes = self._holes
-            holes[(src, dst_ip)] = now + self.hole_ttl
-            if len(holes) >= self._sweep_at:
-                expired = [key for key, expires in holes.items() if expires < now]
-                for key in expired:
-                    del holes[key]
-                self._sweep_at = max(self.SWEEP_MIN, 2 * len(holes))
+            holes = self._holes.get(src)
+            if holes is None:
+                holes = self._holes[src] = {}
+            if dst_ip not in holes:
+                self._hole_count += 1
+            holes[dst_ip] = now + self.hole_ttl
+            if self._hole_count >= self._sweep_at:
+                self._sweep(now)
+
+    def _sweep(self, now: float) -> None:
+        """Drop every expired hole, then re-arm the size trigger."""
+        table = self._holes
+        live = 0
+        for endpoint in list(table):
+            holes = table[endpoint]
+            expired = [remote_ip for remote_ip, expires in holes.items() if expires < now]
+            for remote_ip in expired:
+                del holes[remote_ip]
+            if holes:
+                live += len(holes)
+            else:
+                del table[endpoint]
+        self._hole_count = live
+        self._sweep_at = max(self.SWEEP_MIN, 2 * live)
 
     def inbound_allowed(self, dst: Tuple[int, int], src_ip: int, now: float) -> bool:
         """Is delivery from ``src_ip`` to endpoint ``dst`` permitted?"""
@@ -91,21 +113,26 @@ class RoutabilityTable:
             return False  # nobody bound there
         if routable:
             return True
-        expires = self._holes.get((dst, src_ip))
+        holes = self._holes.get(dst)
+        if holes is None:
+            return False
+        expires = holes.get(src_ip)
         if expires is None:
             return False
         if expires < now:
-            del self._holes[(dst, src_ip)]
+            del holes[src_ip]
+            self._hole_count -= 1
+            if not holes:
+                del self._holes[dst]
             return False
         return True
 
     def open_holes(self, dst: Tuple[int, int], now: float) -> Set[int]:
         """IPs currently allowed to reach non-routable endpoint ``dst``."""
-        return {
-            remote_ip
-            for (endpoint, remote_ip), expires in self._holes.items()
-            if endpoint == dst and expires >= now
-        }
+        holes = self._holes.get(dst)
+        if holes is None:
+            return set()
+        return {remote_ip for remote_ip, expires in holes.items() if expires >= now}
 
 
 @dataclass

@@ -103,6 +103,45 @@ class TestPeerList:
             PeerList(capacity=1, ip_filter_prefix=0)
 
 
+class TestPropagationCandidates:
+    """The rows a Sality reply draws from, on both peer-list backends."""
+
+    @pytest.fixture(params=["objects", "slab"])
+    def peer_list(self, request):
+        from repro.botnets.state import PeerSlab, SlabPeerList
+
+        if request.param == "objects":
+            pl = PeerList(capacity=10, ip_filter_prefix=32)
+        else:
+            pl = SlabPeerList(capacity=10, ip_filter_prefix=32, slab=PeerSlab())
+        for index, goodcount in enumerate([3, 1, 2, 5, 2]):
+            pl.add(
+                PeerEntry(
+                    bot_id=bytes([65 + index]),
+                    endpoint=Endpoint(parse_ip(f"25.0.0.{index + 1}"), 5000),
+                    goodcount=goodcount,
+                )
+            )
+        return pl
+
+    def test_threshold_inclusive_in_insertion_order(self, peer_list):
+        rows = peer_list.propagation_candidates(2, 0, b"")
+        assert [(bot_id, goodcount) for bot_id, _, goodcount in rows] == [
+            (b"A", 3), (b"C", 2), (b"D", 5), (b"E", 2),
+        ]
+        assert rows[0][1] == Endpoint(parse_ip("25.0.0.1"), 5000)
+
+    def test_excludes_requester_ip_and_id_separately(self, peer_list):
+        rows = peer_list.propagation_candidates(2, parse_ip("25.0.0.3"), b"D")
+        assert [bot_id for bot_id, _, _ in rows] == [b"A", b"E"]
+
+    def test_reflects_goodcount_writes(self, peer_list):
+        peer_list.get(b"B").goodcount += 1
+        peer_list.get(b"D").goodcount = -1
+        rows = peer_list.propagation_candidates(2, 0, b"")
+        assert [bot_id for bot_id, _, _ in rows] == [b"A", b"B", b"C", b"E"]
+
+
 class EchoBot(BotNode):
     """Minimal concrete bot for exercising the base-class plumbing."""
 

@@ -1,9 +1,15 @@
 """Tests for population-builder address layout (hotspots, dense
-neighborhoods, NAT grouping)."""
+neighborhoods, NAT grouping) and bootstrap peer picks."""
+
+import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.botnets.population import PopulationConfig
+from repro.botnets.population import PopulationBuilder, PopulationConfig
+from repro.botnets.sality.network import SalityNetwork, SalityNetworkConfig
 from repro.botnets.zeus.network import ZeusNetwork, ZeusNetworkConfig
 from repro.net.address import Subnet, subnet_key
 
@@ -87,3 +93,77 @@ class TestAddressLayout:
     def test_gateway_occupancy_bounded(self):
         net = build(population=300, routable_fraction=0.2, max_bots_per_gateway=3)
         assert all(1 <= g.occupancy <= 3 for g in net.gateways)
+
+
+def _reference_picks(builder, rng, routable):
+    """The quadratic bootstrap both families used to run: a fresh
+    candidate list per bot, sampled directly."""
+    per_bot = min(builder.config.bootstrap_peers, len(routable))
+    for bot in builder.bots.values():
+        candidates = [peer for peer in routable if peer is not bot]
+        yield bot, rng.sample(candidates, min(per_bot, len(candidates)))
+
+
+class TestBootstrapPicks:
+    @given(
+        population=st.integers(min_value=1, max_value=300),
+        share=st.floats(min_value=0.001, max_value=1.0),
+        bootstrap_peers=st.integers(min_value=1, max_value=60),
+        layout_seed=st.integers(min_value=0, max_value=2**32 - 1),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # random.sample keeps a pool list while the population is at most
+    # its set size (21 for k <= 5, 85 for k <= 21) and a set of chosen
+    # indices above it.  One routable bot has no candidate peer; with
+    # two, each still draws (randbelow(1) consumes bits).
+    @example(population=12, share=1.0, bootstrap_peers=3, layout_seed=0, seed=1)  # pool
+    @example(population=200, share=0.5, bootstrap_peers=3, layout_seed=0, seed=1)  # set
+    @example(population=300, share=1.0, bootstrap_peers=15, layout_seed=5, seed=2)  # set
+    @example(population=40, share=0.001, bootstrap_peers=8, layout_seed=3, seed=4)  # one
+    @example(population=5, share=0.4, bootstrap_peers=8, layout_seed=3, seed=4)  # two
+    @example(population=1, share=1.0, bootstrap_peers=8, layout_seed=0, seed=4)  # alone
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_sample(self, population, share, bootstrap_peers, layout_seed, seed):
+        """Every bot gets exactly the reference's peers, and the stream
+        ends in the reference's state."""
+        routable_count = max(1, round(population * share))
+        flags = [index < routable_count for index in range(population)]
+        random.Random(layout_seed).shuffle(flags)
+        builder = PopulationBuilder(PopulationConfig(bootstrap_peers=bootstrap_peers))
+        builder.bots = {
+            f"bot-{index:06d}": SimpleNamespace(routable=flag)
+            for index, flag in enumerate(flags)
+        }
+        routable = builder.routable_bots
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        picks = list(builder.bootstrap_picks(rng, routable))
+        expected = list(_reference_picks(builder, reference_rng, routable))
+        assert len(picks) == population
+        for (bot, peers), (reference_bot, reference_peers) in zip(picks, expected):
+            assert bot is reference_bot
+            assert [id(peer) for peer in peers] == [id(peer) for peer in reference_peers]
+            assert all(peer is not bot for peer in peers)
+        assert rng.getstate() == reference_rng.getstate()
+
+    @pytest.mark.parametrize(
+        "network, config",
+        [(ZeusNetwork, ZeusNetworkConfig), (SalityNetwork, SalityNetworkConfig)],
+    )
+    def test_family_bootstrap_unchanged(self, monkeypatch, network, config):
+        """A built population seeds the same peer lists (and Zeus the
+        same proxies) as the reference bootstrap."""
+
+        def fingerprint(net):
+            peers = {
+                bot.node_id: [entry.bot_id for entry in bot.peer_list]
+                for bot in net.bots.values()
+            }
+            return peers, getattr(net, "proxies", None)
+
+        params = dict(population=150, routable_fraction=0.4, bootstrap_peers=12, master_seed=9)
+        fast = network(config(**params))
+        fast.build()
+        monkeypatch.setattr(PopulationBuilder, "bootstrap_picks", _reference_picks)
+        slow = network(config(**params))
+        slow.build()
+        assert fingerprint(fast) == fingerprint(slow)

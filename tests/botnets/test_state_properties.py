@@ -46,6 +46,13 @@ operations = st.lists(
         st.tuples(st.just("touch"), ids, times),
         st.tuples(st.just("record_failure"), ids, st.integers(min_value=1, max_value=4)),
         st.tuples(st.just("closest"), ids, ids, st.integers(min_value=1, max_value=8)),
+        st.tuples(st.just("goodcount"), ids, st.integers(min_value=-3, max_value=3)),
+        st.tuples(
+            st.just("propagation_candidates"),
+            st.integers(min_value=-2, max_value=3),
+            st.integers(min_value=0, max_value=7),
+            st.integers(min_value=0, max_value=7),
+        ),
     ),
     max_size=60,
 )
@@ -68,6 +75,19 @@ def _apply(peer_list, op):
         return peer_list.record_failure(op[1], op[2])
     if kind == "closest":
         return peer_list.closest(op[1], op[2], op[3])
+    if kind == "goodcount":
+        # Sality's reputation writes go through the entry view.
+        entry = peer_list.get(op[1])
+        if entry is not None:
+            entry.goodcount += op[2]
+        return None
+    if kind == "propagation_candidates":
+        # The excluded requester's IP and id are an entry's, by position
+        # (past the end: nobody's), so the exclusions actually bite.
+        rows = [(e.endpoint.ip, e.bot_id) for e in peer_list.entries()]
+        exclude_ip = rows[op[2]][0] if op[2] < len(rows) else 0
+        exclude_id = rows[op[3]][1] if op[3] < len(rows) else b""
+        return peer_list.propagation_candidates(op[1], exclude_ip, exclude_id)
     raise AssertionError(kind)
 
 
@@ -75,7 +95,10 @@ def _snapshot(peer_list):
     """Everything observable about a peer list, in one comparable value."""
     return (
         len(peer_list),
-        [(e.bot_id, e.endpoint, e.last_seen, e.failures) for e in peer_list.entries()],
+        [
+            (e.bot_id, e.endpoint, e.last_seen, e.failures, e.goodcount)
+            for e in peer_list.entries()
+        ],
         peer_list.maintenance_view(),
         peer_list.ids(),
         peer_list.ips(),

@@ -1,5 +1,7 @@
 """Unit tests for GameOver Zeus crypto."""
 
+import random
+
 import pytest
 
 from repro.botnets.zeus.crypto import (
@@ -13,6 +15,25 @@ from repro.botnets.zeus.crypto import (
 
 KEY = bytes(range(20))
 OTHER_KEY = bytes(range(1, 21))
+# Message lengths on both sides of every keystream doubling boundary.
+BOUNDARY_LENGTHS = (1, 31, 32, 33, 63, 64, 65, 129, 4096)
+
+
+def _textbook_rc4(key: bytes, length: int) -> bytes:
+    """RC4 exactly as usually written: an independent reference."""
+    state = list(range(256))
+    j = 0
+    for i in range(256):
+        j = (j + state[i] + key[i % len(key)]) % 256
+        state[i], state[j] = state[j], state[i]
+    i = j = 0
+    out = []
+    for _ in range(length):
+        i = (i + 1) % 256
+        j = (j + state[i]) % 256
+        state[i], state[j] = state[j], state[i]
+        out.append(state[(state[i] + state[j]) % 256])
+    return bytes(out)
 
 
 class TestRc4:
@@ -26,6 +47,25 @@ class TestRc4:
         ks = rc4_keystream(b"Key", 9)
         ct = bytes(k ^ p for k, p in zip(ks, b"Plaintext"))
         assert ct.hex() == "bbf316e8d940af0ad3"
+
+    @pytest.mark.parametrize(
+        "key, expected",
+        [
+            # RFC 6229, offset 0: a key length that does not divide 256
+            # and one that does, around the key-repeat in the schedule.
+            (bytes(range(1, 6)), "b2396305f03dc027ccc3524a0a1118a8"),
+            (bytes(range(1, 33)), "eaa6bd25880bf93d3f5d1e4ca2611d91"),
+        ],
+    )
+    def test_rfc6229_vectors(self, key, expected):
+        assert rc4_keystream(key, 16).hex() == expected
+
+    @pytest.mark.parametrize("key_len", [1, 3, 5, 7, 20, 24, 32, 100, 255, 256])
+    def test_matches_textbook_rc4(self, key_len):
+        """Long keystreams for keys whose length does and does not
+        divide 256 equal the textbook algorithm's."""
+        key = bytes((index * 29 + key_len) & 0xFF for index in range(key_len))
+        assert rc4_keystream(key, 1024) == _textbook_rc4(key, 1024)
 
     def test_deterministic(self):
         assert rc4_keystream(KEY, 64) == rc4_keystream(KEY, 64)
@@ -56,6 +96,26 @@ class TestKeystreamCache:
     def test_oversized_message_rejected(self):
         with pytest.raises(ValueError):
             KeystreamCache().xor(KEY, b"x" * 5000)
+
+    @pytest.mark.parametrize("order", ["ascending", "shuffled"])
+    def test_growth_across_doubling_boundaries_matches_raw_rc4(self, order):
+        """Keystreams grow by resuming the PRGA; every prefix length, in
+        any request order, must match a fresh RC4 run of that length."""
+        lengths = list(BOUNDARY_LENGTHS)
+        if order == "shuffled":
+            random.Random(7).shuffle(lengths)
+        cache = KeystreamCache()
+        for length in lengths:
+            data = bytes((index * 37 + length) & 0xFF for index in range(length))
+            expected = bytes(k ^ p for k, p in zip(rc4_keystream(KEY, length), data))
+            assert cache.xor(KEY, data) == expected
+
+    def test_first_chunk_is_packet_sized(self):
+        cache = KeystreamCache()
+        cache.xor(KEY, b"x" * 12)
+        assert cache._entry(KEY, 1)[1] == KeystreamCache.INITIAL_LEN == 32
+        cache.xor(KEY, b"x" * 33)
+        assert cache._entry(KEY, 1)[1] == 64
 
     def test_cache_eviction_safe(self):
         cache = KeystreamCache(max_entries=2)

@@ -286,6 +286,7 @@ class TestProfilingAndTelemetryFlags:
         baseline.write_text(json.dumps(doc))
         assert main([
             "bench", "--workloads", "crawl", "--quick", "--baseline", str(baseline),
+            "-o", str(tmp_path / "current.json"),
         ]) == 2
         err = capsys.readouterr().err
         assert "refusing baseline compare" in err
