@@ -62,10 +62,6 @@ class PopulationConfig:
     # Scheduled transport faults (chaos experiments).  None/empty keeps
     # the plain Transport so healthy runs replay byte-for-byte.
     fault_plan: Optional[FaultPlan] = None
-    # Peer/online storage backend: "soa" keeps hot per-peer scalars in
-    # the shared struct-of-arrays slab (repro.botnets.state); "objects"
-    # keeps one PeerEntry object per peer.  Both behave identically.
-    state_backend: str = "soa"
     # Reuse delivered Message objects through the transport free list.
     # Safe for builder-owned populations (no sim handler retains the
     # Message); handlers bound externally must snapshot what they keep.
@@ -89,8 +85,6 @@ class PopulationConfig:
             raise ValueError("max_bots_per_gateway must be >= 1")
         if not 0.0 <= self.subnet_hotspot_fraction <= 1.0:
             raise ValueError("subnet_hotspot_fraction must be in [0, 1]")
-        if self.state_backend not in ("soa", "objects"):
-            raise ValueError(f"unknown state_backend: {self.state_backend!r}")
 
 
 class PopulationBuilder:
@@ -139,9 +133,7 @@ class PopulationBuilder:
                 recycle_messages=config.recycle_messages,
                 latency_model=latency_model,
             )
-        self.state: Optional[PopulationState] = (
-            PopulationState() if config.state_backend == "soa" else None
-        )
+        self.state = PopulationState()
         net_rng = self.rngs.stream("addresses")
         self.routable_pool = AddressPool(
             [Subnet.parse(block) for block in config.routable_blocks], net_rng
@@ -259,8 +251,7 @@ class PopulationBuilder:
             else:
                 endpoint = self.allocate_nat_endpoint()
             bot = self.make_bot(node_id, endpoint, routable, bot_rng)
-            if self.state is not None:
-                self.state.adopt(bot)
+            self.state.adopt(bot)
             self.bots[node_id] = bot
             self.bots_by_bot_id[bot.bot_id] = bot
         self.bootstrap()

@@ -30,7 +30,7 @@ from repro.core.detection import DetectionConfig, SensorLogDataset, evaluate_det
 from repro.core.stealth import StealthPolicy
 from repro.net.address import format_ip, parse_ip
 from repro.net.transport import Endpoint
-from repro.obs import ObsSession
+from repro.obs import ObsSession, runtime
 from repro.sim.clock import HOUR
 from repro.workloads.population import SCALES, zeus_config
 from repro.workloads.scenarios import build_zeus_scenario
@@ -61,15 +61,16 @@ def _report_obs(session: ObsSession) -> None:
 
 
 def _build(args: argparse.Namespace, session: Optional[ObsSession] = None):
-    scenario = build_zeus_scenario(
-        zeus_config(
-            args.scale,
-            master_seed=args.seed,
-            topology=getattr(args, "topology", None),
-        ),
-        sensor_count=args.sensors,
-        announce_hours=2.0,
-    )
+    with runtime.profiler().section("build", "scenario"):
+        scenario = build_zeus_scenario(
+            zeus_config(
+                args.scale,
+                master_seed=args.seed,
+                topology=getattr(args, "topology", None),
+            ),
+            sensor_count=args.sensors,
+            announce_hours=2.0,
+        )
     if session is not None:
         session.attach_scheduler(scenario.net.scheduler)
     crawler = ZeusCrawler(
@@ -490,102 +491,6 @@ def _cmd_topo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        BenchCompareError,
-        compare_bench,
-        load_bench,
-        render_bench,
-        run_bench,
-        write_bench,
-    )
-
-    if args.list:
-        from repro.bench import WORKLOADS
-
-        for name in sorted(WORKLOADS):
-            print(name)
-        return 0
-    if args.threshold < 0:
-        print("bench: --threshold must be >= 0", file=sys.stderr)
-        return 2
-    try:
-        doc = run_bench(
-            names=args.workloads,
-            quick=args.quick,
-            repeat=args.repeat,
-            profile=args.profile,
-        )
-    except KeyError as exc:
-        print(f"bench: {exc.args[0]}", file=sys.stderr)
-        return 2
-    write_bench(doc, args.output)
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(render_bench(doc))
-    print(f"bench results -> {args.output}", file=sys.stderr)
-    if args.baseline:
-        try:
-            baseline = load_bench(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"bench: cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-        try:
-            lines, regressions = compare_bench(doc, baseline, threshold=args.threshold)
-        except BenchCompareError as exc:
-            print(f"bench: refusing baseline compare: {exc}", file=sys.stderr)
-            return 2
-        print(f"baseline compare vs {args.baseline} (threshold +{args.threshold * 100:.0f}%):")
-        for line in lines:
-            print(f"  {line}")
-        if regressions:
-            print(
-                f"bench: {len(regressions)} workload(s) regressed: "
-                f"{', '.join(regressions)}",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.bench import WORKLOADS, run_workload
-    from repro.obs import render_profile, write_collapsed, write_speedscope
-
-    if args.list:
-        for name in sorted(WORKLOADS):
-            print(name)
-        return 0
-    if args.workload is None:
-        print("profile: a workload name is required (or --list)", file=sys.stderr)
-        return 2
-    try:
-        collect = {}
-        entry = run_workload(
-            args.workload, quick=args.quick, repeat=args.repeat,
-            profile=True, collect=collect,
-        )
-    except KeyError as exc:
-        print(f"profile: {exc.args[0]}", file=sys.stderr)
-        return 2
-    tree = collect["tree"]
-    output = args.output or f"{args.workload}.speedscope.json"
-    if output.endswith((".collapsed", ".folded")):
-        write_collapsed(tree, output)
-    else:
-        write_speedscope(tree, output, name=f"repro bench {args.workload}")
-    print(render_profile(tree, title=f"workload {args.workload}"))
-    print(
-        f"  wall {entry['wall_s']:.3f}s, "
-        f"{entry['events_per_s']:.0f} simulated events/s"
-    )
-    print(f"profile -> {output}", file=sys.stderr)
-    if not output.endswith((".collapsed", ".folded")):
-        print("open in https://www.speedscope.app", file=sys.stderr)
-    return 0
-
-
 def _cmd_top(args: argparse.Namespace) -> int:
     from repro.obs.telemetry import iter_telemetry, render_snapshot
 
@@ -912,80 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("--title", default=None, help="report title")
     report.set_defaults(func=_cmd_report)
-
-    bench = sub.add_parser(
-        "bench",
-        help="time the canonical workloads and gate on a perf baseline",
-        description=(
-            "Run the canonical crawl/detect/sweep workloads, record "
-            "wall time, simulated events/sec, and peak RSS into a "
-            "schema-versioned BENCH_recon.json, and (with --baseline) "
-            "exit non-zero when any workload regresses past the "
-            "threshold."
-        ),
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="trim simulated hours for a fast smoke run",
-    )
-    bench.add_argument(
-        "-o", "--output", default="BENCH_recon.json",
-        help="where to write the results document",
-    )
-    bench.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="compare against a previous BENCH_recon.json; exit 1 on regression",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="relative wall-time regression gate (default 0.25 = +25%%)",
-    )
-    bench.add_argument(
-        "--repeat", type=int, default=1,
-        help="run each workload N times, keep the best wall time",
-    )
-    bench.add_argument(
-        "--workloads", nargs="+", default=None, metavar="NAME",
-        help="subset of workloads to run (see --list)",
-    )
-    bench.add_argument("--list", action="store_true", help="list workloads")
-    bench.add_argument("--json", action="store_true", help="print the document as JSON")
-    bench.add_argument(
-        "--profile", action="store_true",
-        help="attach a per-workload subsystem wall-time breakdown to the "
-             "results (repro-bench/3), so --baseline compare can name the "
-             "subsystem that regressed",
-    )
-    bench.set_defaults(func=_cmd_bench)
-
-    profile = sub.add_parser(
-        "profile",
-        help="profile a bench workload and export a flamegraph",
-        description=(
-            "Run one canonical workload under the subsystem wall-time "
-            "profiler and export the site tree as a speedscope JSON "
-            "flamegraph (or collapsed stacks for a .collapsed/.folded "
-            "output), plus a terminal breakdown of where the wall time "
-            "went.  Profiling reads only wall-clock state, so the "
-            "simulated run is byte-identical to an unprofiled one."
-        ),
-    )
-    profile.add_argument("workload", nargs="?", help="workload name (see --list)")
-    profile.add_argument("--list", action="store_true", help="list workloads")
-    profile.add_argument(
-        "--quick", action="store_true",
-        help="trim simulated hours for a fast smoke run",
-    )
-    profile.add_argument(
-        "--repeat", type=int, default=1,
-        help="run N times, keep the best wall time's profile",
-    )
-    profile.add_argument(
-        "-o", "--output", default=None,
-        help="output path (default: <workload>.speedscope.json; "
-             ".collapsed/.folded suffix switches to collapsed stacks)",
-    )
-    profile.set_defaults(func=_cmd_profile)
 
     top = sub.add_parser(
         "top",

@@ -211,16 +211,12 @@ class Transport:
         path.  ``_reuse`` gates the message pool: recycling is safe
         only when no tap can retain a message.
         """
-        hooked = bool(
+        self._slow = bool(
             self._taps
             or self._drop_taps
+            or self._trace
             or type(self)._drop_reason is not Transport._drop_reason
         )
-        self._slow = hooked or bool(self._trace)
-        # ``_lean``: tracing is the *only* active hook.  _deliver then
-        # runs the fast-path drop checks (no Message for drops, no
-        # _drop_reason dispatch, no tap loop) and just emits events.
-        self._lean = not hooked and bool(self._trace)
         self._reuse = self._recycle and not self._taps and not self._drop_taps
 
     # -- binding -------------------------------------------------------
@@ -395,67 +391,6 @@ class Transport:
             self._m_delivered.inc()
             if profile is not None:
                 profile.note("deliver.fast")
-            pool = self._pool
-            if pool:
-                message = pool.pop()
-                message.src = src
-                message.dst = dst
-                message.payload = payload
-                message.sent_at = sent_at
-                message.delivered_at = now
-            else:
-                message = Message(src, dst, payload, sent_at, now)
-            handler(message)
-            if self._reuse and len(pool) < _POOL_MAX:
-                pool.append(message)
-            return
-        if self._lean:
-            # Traced fast path: same checks and RNG draws as above, with
-            # trace events emitted in the same order the generic slow
-            # path would (drop/deliver event before the handler runs).
-            trace = self._trace
-            stats = self.stats
-            dst_key = dst.key
-            handler = self._handlers.get(dst_key)
-            if handler is None:
-                stats.dropped_unbound_dst += 1
-                self._m_dropped.labels("unbound_dst").inc()
-                if profile is not None:
-                    profile.note("drop")
-                trace.instant_args(
-                    now, "net", "drop",
-                    {"reason": "unbound_dst", "src": str(src), "dst": str(dst)},
-                )
-                return
-            if not self.routability.inbound_allowed(dst_key, src.ip, now):
-                stats.dropped_unroutable += 1
-                self._m_dropped.labels("unroutable").inc()
-                if profile is not None:
-                    profile.note("drop")
-                trace.instant_args(
-                    now, "net", "drop",
-                    {"reason": "unroutable", "src": str(src), "dst": str(dst)},
-                )
-                return
-            loss_rate = self.config.loss_rate
-            if loss_rate and self.rng.random() < loss_rate:
-                stats.dropped_loss += 1
-                self._m_dropped.labels("loss").inc()
-                if profile is not None:
-                    profile.note("drop")
-                trace.instant_args(
-                    now, "net", "drop",
-                    {"reason": "loss", "src": str(src), "dst": str(dst)},
-                )
-                return
-            stats.delivered += 1
-            self._m_delivered.inc()
-            if profile is not None:
-                profile.note("deliver.lean")
-            trace.instant_args(
-                now, "net", "deliver",
-                {"src": str(src), "dst": str(dst), "latency": round(now - sent_at, 6)},
-            )
             pool = self._pool
             if pool:
                 message = pool.pop()

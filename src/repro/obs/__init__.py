@@ -42,7 +42,6 @@ from repro.obs.profile import (
     NullProfiler,
     SubsystemProfiler,
     collapsed_stacks,
-    profile_breakdown,
     render_profile,
     speedscope_document,
     write_collapsed,
@@ -106,7 +105,6 @@ __all__ = [
     "NullTracer",
     "ObsSession",
     "profile",
-    "profile_breakdown",
     "read_jsonl",
     "read_telemetry",
     "render_events",

@@ -25,7 +25,12 @@ from repro.obs import runtime
 from repro.obs.events import COMPLETE, FlightRecorder, TraceEvent
 from repro.obs.export import _open_recording, write_chrome_trace, write_jsonl, write_metrics
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import SubsystemProfiler, write_collapsed, write_speedscope
+from repro.obs.profile import (
+    SubsystemProfiler,
+    render_profile,
+    write_collapsed,
+    write_speedscope,
+)
 from repro.obs.telemetry import LiveRunView, TelemetryEmitter
 from repro.obs.tracer import Tracer
 
@@ -157,7 +162,8 @@ class ObsSession:
 
     ``profile_path`` enables the subsystem profiler and writes its
     flamegraph on exit (speedscope JSON, or collapsed stacks for a
-    ``.collapsed``/``.folded`` suffix).  ``telemetry_path``/``live``
+    ``.collapsed``/``.folded`` suffix); the subsystem breakdown joins
+    the ``written`` lines.  ``telemetry_path``/``live``
     enable the wall-clock telemetry emitter, streaming snapshots as
     JSONL and/or rendering a live status line.  All of it obeys the
     package invariant: observation never perturbs the run.
@@ -262,3 +268,4 @@ class ObsSession:
                 else:
                     write_speedscope(self.profile_tree, self.profile_path)
                 self.written.append(f"profile -> {self.profile_path}")
+            self.written.append(render_profile(self.profile_tree))

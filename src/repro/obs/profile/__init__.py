@@ -6,7 +6,8 @@ delivery tiers know which path a message took.  This package hangs a
 structured profiler off both: callback cost is aggregated into a site
 tree -- subsystem -> callback site -> event kind, with per-event-kind
 microseconds per event -- and exported as collapsed stacks or
-speedscope JSON for flamegraph viewing (``repro profile``).
+speedscope JSON for flamegraph viewing (``--profile FILE`` on
+``repro crawl|detect|chaos``).
 
 Like every other observability layer (see :mod:`repro.obs`), the
 profiler reads only the host's wall clock: it draws no randomness,
@@ -23,7 +24,6 @@ from repro.obs.profile.profiler import (
 )
 from repro.obs.profile.export import (
     collapsed_stacks,
-    profile_breakdown,
     render_profile,
     speedscope_document,
     write_collapsed,
@@ -37,7 +37,6 @@ __all__ = [
     "SubsystemProfiler",
     "classify_module",
     "collapsed_stacks",
-    "profile_breakdown",
     "render_profile",
     "speedscope_document",
     "write_collapsed",

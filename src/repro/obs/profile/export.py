@@ -11,10 +11,8 @@ re-rendered from a saved document without the live profiler.
   (https://www.speedscope.app): one *sampled* profile whose samples
   are the three-frame subsystem/site/kind stacks weighted by
   microseconds;
-* :func:`render_profile` -- the terminal breakdown ``repro profile``
-  prints;
-* :func:`profile_breakdown` -- the compact per-subsystem summary
-  embedded in ``repro-bench/3`` documents.
+* :func:`render_profile` -- the terminal breakdown a ``--profile``
+  run prints on stderr.
 """
 
 from __future__ import annotations
@@ -100,25 +98,6 @@ def write_collapsed(tree: Mapping[str, Any], path: str) -> None:
         text = collapsed_stacks(tree)
         if text:
             stream.write(text + "\n")
-
-
-def profile_breakdown(tree: Mapping[str, Any]) -> Dict[str, Any]:
-    """The compact per-subsystem summary carried by ``repro-bench/3``
-    workload entries: enough to name which subsystem regressed without
-    shipping the whole site tree."""
-    return {
-        "window_s": tree["window_s"],
-        "attributed_s": tree["attributed_s"],
-        "attributed_share": tree["attributed_share"],
-        "subsystems": {
-            name: {
-                "wall_s": sub["wall_s"],
-                "share": sub["share"],
-                "calls": sub["calls"],
-            }
-            for name, sub in tree.get("subsystems", {}).items()
-        },
-    }
 
 
 def render_profile(tree: Mapping[str, Any], title: str = "profile", top_sites: int = 8) -> str:

@@ -9,7 +9,8 @@
 * **site** -- the callback's qualified name (``Transport._deliver``);
 * **event kind** -- ``call`` by default; instrumented call sites can
   label the in-flight dispatch with :meth:`note` (the transport tags
-  each delivery with its tier: ``deliver.fast``/``lean``/``slow``).
+  each delivery with its path: ``deliver.fast``/``deliver.slow``, or
+  ``drop``).
 
 Coverage accounting: :meth:`start`/:meth:`stop` bracket the measured
 window, and :meth:`section` attributes coarse out-of-scheduler phases
@@ -47,7 +48,6 @@ SUBSYSTEMS: Tuple[Tuple[str, str], ...] = (
     ("repro.runner", "runner"),
     ("repro.workloads", "workload"),
     ("repro.analysis", "analysis"),
-    ("repro.bench", "bench"),
 )
 
 #: Site-tree labels for time the profiler measured but no callback or

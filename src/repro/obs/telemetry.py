@@ -23,6 +23,7 @@ batches does a ``perf_counter`` call happen at all.
 from __future__ import annotations
 
 import json
+import resource
 import sys
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, TextIO
@@ -33,12 +34,22 @@ from repro.obs.export import iter_dict_jsonl
 TELEMETRY_SCHEMA = "repro-telemetry/1"
 
 
-def _rss_kb() -> tuple:
-    # Lazy import: repro.bench pulls in scenario builders at call time
-    # and must stay out of the obs package's import graph.
-    from repro.bench import current_rss_kb, peak_rss_kb
+def peak_rss_kb() -> int:
+    """Process peak RSS in KiB (monotonic high-water mark)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # ru_maxrss is bytes on macOS
+        peak //= 1024
+    return int(peak)
 
-    return current_rss_kb(), peak_rss_kb()
+
+def current_rss_kb() -> int:
+    """Instantaneous process RSS in KiB."""
+    try:
+        with open("/proc/self/statm", "r", encoding="ascii") as stream:
+            rss_pages = int(stream.read().split()[1])
+        return rss_pages * (resource.getpagesize() // 1024)
+    except (OSError, ValueError, IndexError):  # non-Linux fallback
+        return peak_rss_kb()
 
 
 class TelemetryEmitter:
@@ -140,7 +151,6 @@ class TelemetryEmitter:
         events_per_s = (
             (dispatched - self._last_dispatched) / dt if dt > 1e-9 else 0.0
         )
-        rss_kb, peak_kb = _rss_kb()
         registry = runtime.metrics()
         counters = registry.counter_totals() if registry else {}
         deltas = {
@@ -157,8 +167,8 @@ class TelemetryEmitter:
             "events_per_s": round(events_per_s, 1),
             "pending": pending,
             "heap_size": heap_size,
-            "rss_kb": rss_kb,
-            "peak_rss_kb": peak_kb,
+            "rss_kb": current_rss_kb(),
+            "peak_rss_kb": peak_rss_kb(),
             "counters": {name: round(value, 6) for name, value in counters.items()},
             "deltas": deltas,
         }

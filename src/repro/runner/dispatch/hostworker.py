@@ -25,14 +25,13 @@ import time
 
 # Importing the runner package registers the library point functions.
 import repro.runner  # noqa: F401
+from repro.obs.telemetry import current_rss_kb, peak_rss_kb
 from repro.runner.dispatch import wire
 from repro.runner.executors import _execute_point
 
 
 def host_telemetry(points_done: int, started: float) -> dict:
     """Per-host snapshot attached to record/pong replies."""
-    from repro.bench import current_rss_kb, peak_rss_kb
-
     return {
         "points_done": points_done,
         "rss_kb": current_rss_kb(),

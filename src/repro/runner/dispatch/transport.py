@@ -118,17 +118,12 @@ class _LocalHost:
         self.started = time.perf_counter()
 
     def telemetry(self) -> Dict[str, Any]:
-        # Same shape the subprocess hostworker ships back over the
+        # Same snapshot the subprocess hostworker ships back over the
         # wire; RSS is process-wide here because local hosts share one
         # interpreter.
-        from repro.bench import current_rss_kb, peak_rss_kb
+        from repro.runner.dispatch.hostworker import host_telemetry
 
-        return {
-            "points_done": self.points_done,
-            "rss_kb": current_rss_kb(),
-            "peak_rss_kb": peak_rss_kb(),
-            "wall_s": round(time.perf_counter() - self.started, 3),
-        }
+        return host_telemetry(self.points_done, self.started)
 
     def step(self) -> Optional[HostReply]:
         if self.killed:

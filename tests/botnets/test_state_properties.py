@@ -2,14 +2,10 @@
 population core.
 
 The hot-path refactor swapped per-entry objects for slab columns; the
-whole point of the backend switch is that no caller can tell.  Two
-levels of evidence:
-
-* op-level: random operation sequences applied to both peer-list
-  backends produce identical return values and identical views;
-* network-level: a Zeus population built on the ``soa`` backend runs
-  byte-for-byte like one built on the ``objects`` backend, across
-  master seeds.
+whole point of the slab is that no caller can tell.  Random operation
+sequences applied to the object-backed ``PeerList`` (the reference,
+and still the sensors' peer list) and to ``SlabPeerList`` produce
+identical return values and identical views.
 
 Plus the scheduler tie-break property the batched dispatch loop must
 preserve: same-timestamp events fire in insertion order, regardless of
@@ -22,11 +18,9 @@ from hypothesis import strategies as st
 
 from repro.botnets.base import PeerEntry, PeerList
 from repro.botnets.state import PeerSlab, SlabPeerList
-from repro.botnets.zeus.network import ZeusNetwork
 from repro.net.transport import Endpoint
 from repro.sim.clock import HOUR, MINUTE
 from repro.sim.scheduler import Scheduler
-from repro.workloads.population import zeus_config
 
 # A deliberately tiny id/address space so random sequences hit the
 # interesting collisions: same bot re-added, same subnet contested,
@@ -132,38 +126,6 @@ class TestPeerListBackendEquivalence:
         for op in ops:
             _apply(active, op)
         assert _snapshot(bystander) == before
-
-
-def _run_fingerprint(master_seed: int, backend: str):
-    """Build + run a tiny Zeus population; return observable totals."""
-    config = zeus_config(
-        "tiny", master_seed=master_seed, state_backend=backend
-    )
-    net = ZeusNetwork(config)
-    net.build()
-    net.start_all()
-    net.run_for(1.0 * HOUR)
-    bots = [
-        (
-            bot.node_id,
-            bot.counters.messages_in,
-            bot.counters.messages_out,
-            bot.counters.cycles,
-            sorted(bot.peer_list.ids()),
-        )
-        for bot in net.bots.values()
-    ]
-    return (net.scheduler.stats().dispatched, net.transport.stats.delivered, bots)
-
-
-class TestNetworkBackendEquivalence:
-    @given(master_seed=st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=3, deadline=None)
-    def test_soa_and_objects_runs_identical(self, master_seed):
-        """A whole population run is indistinguishable across backends."""
-        assert _run_fingerprint(master_seed, "soa") == _run_fingerprint(
-            master_seed, "objects"
-        )
 
 
 class TestSchedulerBatchTieBreak:
