@@ -71,6 +71,17 @@ def _id_key(bot_id: int) -> bytes:
 class SalityBot(BotNode):
     """One emulated Sality v3 bot."""
 
+    #: Inbound dispatch: raw wire command byte -> handler method name,
+    #: one table per class, resolved with ``getattr`` per message (see
+    #: ``ZeusBot._HANDLERS``).
+    _HANDLERS = {
+        int(Command.HELLO): "_on_hello",
+        int(Command.PEER_REQUEST): "_on_peer_request",
+        int(Command.PEER_RESPONSE): "_on_peer_response",
+        int(Command.URLPACK_REQUEST): "_on_urlpack_request",
+        int(Command.URLPACK_RESPONSE): "_on_urlpack_response",
+    }
+
     __slots__ = (
         "config",
         "int_id",
@@ -80,7 +91,6 @@ class SalityBot(BotNode):
         "undecodable",
         "urlpack_sequence",
         "urlpack_blob",
-        "_dispatch",
     )
 
     def __init__(
@@ -116,15 +126,6 @@ class SalityBot(BotNode):
         self.undecodable = 0
         self.urlpack_sequence = 1
         self.urlpack_blob = bytes([self.rng.getrandbits(8) for _ in range(32)])
-        # Inbound dispatch keyed by raw wire byte; built once per bot so
-        # handle_message avoids a dict literal + enum call per message.
-        self._dispatch = {
-            int(Command.HELLO): self._on_hello,
-            int(Command.PEER_REQUEST): self._on_peer_request,
-            int(Command.PEER_RESPONSE): self._on_peer_response,
-            int(Command.URLPACK_REQUEST): self._on_urlpack_request,
-            int(Command.URLPACK_RESPONSE): self._on_urlpack_response,
-        }
 
     # -- bootstrap / detection hooks ----------------------------------------
 
@@ -243,9 +244,9 @@ class SalityBot(BotNode):
         except SalityDecodeError:
             self.undecodable += 1
             return
-        handler = self._dispatch.get(decoded.command)
-        if handler is not None:
-            handler(decoded, message.src)
+        name = self._HANDLERS.get(decoded.command)
+        if name is not None:
+            getattr(self, name)(decoded, message.src)
 
     def _reply(self, request: SalityMessage, src: Endpoint, command: int, payload: bytes) -> None:
         reply = protocol.make_message(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Tuple
 
-from repro.botnets.zeus.crypto import KeystreamCache
+from repro.botnets.zeus.crypto import MAX_MESSAGE_LEN, KeystreamCache
 from repro.net.transport import Endpoint
 
 HEADER_LEN = 12
@@ -132,9 +132,12 @@ def encode_packet(message: SalityMessage) -> bytes:
 
 def decode_packet(data: bytes) -> SalityMessage:
     """Decrypt and parse; :class:`SalityDecodeError` on irrational
-    structure (short packet, bad version, unknown command, bad pad)."""
+    structure (short or oversized packet, bad version, unknown command,
+    bad pad)."""
     if len(data) < 4 + HEADER_LEN:
         raise SalityDecodeError(f"short packet: {len(data)} bytes")
+    if len(data) > 4 + MAX_MESSAGE_LEN:
+        raise SalityDecodeError(f"oversized packet: {len(data)} bytes")
     nonce_bytes = data[:4]
     plain = _keystreams.xor(NETWORK_KEY + nonce_bytes, data[4:])
     major, minor, command, pad_len = plain[0], plain[1], plain[2], plain[3]

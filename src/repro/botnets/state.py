@@ -26,7 +26,7 @@ two backends against each other operation by operation.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.botnets.base import PeerList
 from repro.net.address import subnet_key
@@ -38,9 +38,19 @@ class PeerSlab:
     Slots are recycled through a free list, so steady-state churn in
     peer lists allocates no new storage.  Columns grow by appending,
     i.e. geometrically via list/array over-allocation.
+
+    ``id_table`` holds one ``(bot_id, id_int)`` row per population bot,
+    filled by :meth:`PopulationState.adopt`.  :meth:`alloc` stores a
+    known bot's row objects instead of the caller's, so every slot
+    naming that bot, in any bot's peer list, shares one ``bytes`` and
+    one ``int`` (a decoded peer entry is a fresh slice each time).  IDs
+    outside the population -- sensors, crawlers, junk -- keep private
+    copies and never enter the table, so it stays one row per bot.
     """
 
-    __slots__ = ("ids", "id_ints", "endpoints", "last_seen", "failures", "goodcount", "_free")
+    __slots__ = (
+        "ids", "id_ints", "endpoints", "last_seen", "failures", "goodcount", "id_table", "_free",
+    )
 
     def __init__(self) -> None:
         self.ids: List[bytes] = []
@@ -51,6 +61,7 @@ class PeerSlab:
         self.last_seen = array("d")
         self.failures = array("i")
         self.goodcount = array("i")
+        self.id_table: Dict[bytes, Tuple[bytes, int]] = {}
         self._free: List[int] = []
 
     def __len__(self) -> int:
@@ -62,11 +73,16 @@ class PeerSlab:
         return len(self.ids)
 
     def alloc(self, bot_id: bytes, endpoint, last_seen: float, failures: int, goodcount: int) -> int:
+        row = self.id_table.get(bot_id)
+        if row is None:
+            id_int = int.from_bytes(bot_id, "big")
+        else:
+            bot_id, id_int = row
         free = self._free
         if free:
             slot = free.pop()
             self.ids[slot] = bot_id
-            self.id_ints[slot] = int.from_bytes(bot_id, "big")
+            self.id_ints[slot] = id_int
             self.endpoints[slot] = endpoint
             self.last_seen[slot] = last_seen
             self.failures[slot] = failures
@@ -74,7 +90,7 @@ class PeerSlab:
             return slot
         slot = len(self.ids)
         self.ids.append(bot_id)
-        self.id_ints.append(int.from_bytes(bot_id, "big"))
+        self.id_ints.append(id_int)
         self.endpoints.append(endpoint)
         self.last_seen.append(last_seen)
         self.failures.append(failures)
@@ -305,7 +321,8 @@ class SlabPeerList:
             self._index_drop(slab.endpoints[stalest_slot].ip)
             slab.release(stalest_slot)
         slot = slab.alloc(bot_id, entry.endpoint, entry.last_seen, entry.failures, entry.goodcount)
-        self._slots[bot_id] = slot
+        # Key by the slab's stored id: a population bot's shared object.
+        self._slots[slab.ids[slot]] = slot
         self._index_add(slot, entry.endpoint.ip)
         return True
 
@@ -341,12 +358,14 @@ class SlabPeerList:
 
 class PopulationState:
     """SoA registry for one population: node indices, online flags, and
-    the shared peer slab.
+    the shared peer slab with its population ID table.
 
     ``online`` mirrors each bot's online flag (bots write through to it
     from :attr:`repro.botnets.base.BotNode.online`), so population-wide
     liveness scans are a single bytearray pass instead of an attribute
-    walk over every bot object.
+    walk over every bot object.  :meth:`adopt` enters each bot's ID in
+    ``slab.id_table``, so peer slots naming it share the bot's own ID
+    object.
     """
 
     __slots__ = ("node_ids", "index_of", "online", "slab")
@@ -375,11 +394,14 @@ class PopulationState:
     def adopt(self, bot) -> None:
         """Attach a freshly built bot to this state.
 
-        Registers the node and swaps its object-backed ``PeerList`` for
-        a slab-backed one (migrating any pre-seeded entries).
+        Registers the node, enters its ID in the slab's ID table, and
+        swaps its object-backed ``PeerList`` for a slab-backed one
+        (migrating any pre-seeded entries).
         """
         index = self.register(bot.node_id)
         bot.attach_state(self, index)
+        bot_id = bot.bot_id
+        self.slab.id_table[bot_id] = (bot_id, int.from_bytes(bot_id, "big"))
         peer_list = getattr(bot, "peer_list", None)
         if isinstance(peer_list, PeerList):
             replacement = SlabPeerList(

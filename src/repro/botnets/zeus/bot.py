@@ -80,6 +80,21 @@ class _Pending:
 class ZeusBot(BotNode):
     """One emulated GameOver Zeus bot."""
 
+    #: Inbound dispatch: raw wire type byte -> handler method name.  One
+    #: table per class, resolved with ``getattr`` per message, so the
+    #: overrides of sensors and sinkholes apply and no bot carries its
+    #: own dict of bound methods.
+    _HANDLERS = {
+        int(MessageType.VERSION_REQUEST): "_on_version_request",
+        int(MessageType.VERSION_REPLY): "_on_version_reply",
+        int(MessageType.PEER_LIST_REQUEST): "_on_peer_list_request",
+        int(MessageType.PEER_LIST_REPLY): "_on_peer_list_reply",
+        int(MessageType.PROXY_REQUEST): "_on_proxy_request",
+        int(MessageType.DATA_REQUEST): "_on_data_request",
+        int(MessageType.DATA_REPLY): "_on_data_reply",
+        int(MessageType.PROXY_REPLY): "_on_proxy_reply",
+    }
+
     __slots__ = (
         "config",
         "peer_list",
@@ -92,7 +107,6 @@ class ZeusBot(BotNode):
         "undecryptable",
         "blacklist_drops",
         "config_blob",
-        "_dispatch",
     )
 
     def __init__(
@@ -136,18 +150,6 @@ class ZeusBot(BotNode):
         self.undecryptable = 0
         self.blacklist_drops = 0
         self.config_blob = bytes([self.rng.getrandbits(8) for _ in range(64)])
-        # Inbound dispatch keyed by raw wire byte; built once per bot so
-        # handle_message avoids a dict literal + enum call per message.
-        self._dispatch = {
-            int(MessageType.VERSION_REQUEST): self._on_version_request,
-            int(MessageType.VERSION_REPLY): self._on_version_reply,
-            int(MessageType.PEER_LIST_REQUEST): self._on_peer_list_request,
-            int(MessageType.PEER_LIST_REPLY): self._on_peer_list_reply,
-            int(MessageType.PROXY_REQUEST): self._on_proxy_request,
-            int(MessageType.DATA_REQUEST): self._on_data_request,
-            int(MessageType.DATA_REPLY): self._on_data_reply,
-            int(MessageType.PROXY_REPLY): self._on_proxy_reply,
-        }
 
     # -- bootstrap ---------------------------------------------------------
 
@@ -220,9 +222,9 @@ class ZeusBot(BotNode):
         if self.auto_blacklister.is_blocked(message.src.ip):
             self.blacklist_drops += 1
             return
-        handler = self._dispatch.get(decoded.msg_type)
-        if handler is not None:
-            handler(decoded, message.src)
+        name = self._HANDLERS.get(decoded.msg_type)
+        if name is not None:
+            getattr(self, name)(decoded, message.src)
 
     def _reply(self, request: ZeusMessage, src: Endpoint, msg_type: int, payload: bytes) -> None:
         reply = protocol.make_message(

@@ -19,7 +19,7 @@ whole stack fast enough to encrypt millions of simulated messages.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 KEY_LEN = 20
 # Longest message we ever encrypt; cached keystreams grow to at most
@@ -77,6 +77,14 @@ class KeystreamCache:
     than the next power of two above its longest message, and families
     that derive a fresh key per exchange (Sality's per-nonce keys) pay
     for packet-sized keystreams, not the MAX_MESSAGE_LEN worst case.
+
+    Each entry is an immutable ``(keystream_int, length, state, i, j)``
+    tuple whose PRGA state is 256 ``bytes``, copied back to a list only
+    when a longer message grows the stream.  Most Sality keys serve one
+    exchange and are never grown: as bytes, a dead entry costs ~0.5 KB
+    in all, where a list of 256 ints alone takes 2.1 KB, and a tuple
+    holding only ints and bytes drops out of the garbage collector's
+    tracked set.
     """
 
     #: First chunk of keystream computed per key; covers most Sality
@@ -85,10 +93,9 @@ class KeystreamCache:
 
     def __init__(self, max_entries: int = 100_000) -> None:
         self.max_entries = max_entries
-        # key -> [keystream_int, length, prga_state, i, j]
-        self._cache: Dict[bytes, list] = {}
+        self._cache: Dict[bytes, Tuple[int, int, bytes, int, int]] = {}
 
-    def _entry(self, key: bytes, need: int) -> list:
+    def _entry(self, key: bytes, need: int) -> Tuple[int, int, bytes, int, int]:
         entry = self._cache.get(key)
         if entry is None:
             if len(self._cache) >= self.max_entries:
@@ -100,20 +107,20 @@ class KeystreamCache:
             if length > MAX_MESSAGE_LEN:
                 length = MAX_MESSAGE_LEN
             chunk, i, j = _rc4_prga(state, i, j, length)
-            entry = [int.from_bytes(chunk, "big"), length, state, i, j]
+            entry = (int.from_bytes(chunk, "big"), length, bytes(state), i, j)
             self._cache[key] = entry
         elif entry[1] < need:
-            length = entry[1]
+            stream, length, saved, i, j = entry
             target = length
             while target < need:
                 target <<= 1
             if target > MAX_MESSAGE_LEN:
                 target = MAX_MESSAGE_LEN
-            extra, i, j = _rc4_prga(entry[2], entry[3], entry[4], target - length)
-            entry[0] = (entry[0] << (8 * (target - length))) | int.from_bytes(extra, "big")
-            entry[1] = target
-            entry[3] = i
-            entry[4] = j
+            state = list(saved)
+            extra, i, j = _rc4_prga(state, i, j, target - length)
+            stream = (stream << (8 * (target - length))) | int.from_bytes(extra, "big")
+            entry = (stream, target, bytes(state), i, j)
+            self._cache[key] = entry
         return entry
 
     def keystream_int(self, key: bytes) -> int:

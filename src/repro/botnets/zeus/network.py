@@ -59,7 +59,8 @@ class ZeusNetwork(PopulationBuilder):
         Every bot (routable or not) ships with a bootstrap list of
         routable peers, as a real dropper does.  A handful of routable
         bots additionally serve as the proxy (data-drop) layer that
-        sensors are expected to report when probed (Section 4.2).
+        sensors are expected to report when probed (Section 4.2).  Bots
+        only read their proxy list, so all of them share one.
         """
         rng = self.rngs.stream("bootstrap")
         routable = self.routable_bots
@@ -71,7 +72,7 @@ class ZeusNetwork(PopulationBuilder):
         ]
         for bot, seeds in self.bootstrap_picks(rng, routable):
             bot.seed_peers([(peer.bot_id, peer.endpoint) for peer in seeds])
-            bot.proxy_list = list(self._proxies)
+            bot.proxy_list = self._proxies
 
     @property
     def proxies(self) -> List[Tuple[bytes, Endpoint]]:

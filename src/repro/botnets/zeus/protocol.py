@@ -304,5 +304,8 @@ def encrypt_message(message: ZeusMessage, recipient_id: bytes) -> bytes:
 
 def decrypt_message(data: bytes, own_id: bytes) -> ZeusMessage:
     """Decrypt with our own ID and decode; :class:`ZeusDecodeError`
-    signals an undecryptable (wrongly keyed or corrupt) message."""
+    signals an undecryptable (wrongly keyed, corrupt or oversized)
+    message."""
+    if len(data) > crypto.MAX_MESSAGE_LEN:
+        raise ZeusDecodeError(f"oversized message: {len(data)} bytes")
     return decode_message(crypto.zeus_decrypt(own_id, data))

@@ -1,5 +1,6 @@
 """Tests for population-builder address layout (hotspots, dense
-neighborhoods, NAT grouping) and bootstrap peer picks."""
+neighborhoods, NAT grouping), bootstrap peer picks, and the state bots
+share instead of copying (peer IDs, handler tables, proxy list)."""
 
 import random
 from types import SimpleNamespace
@@ -8,10 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.botnets.antirecon import DisinformationPolicy
 from repro.botnets.population import PopulationBuilder, PopulationConfig
+from repro.botnets.sality.bot import SalityBot
 from repro.botnets.sality.network import SalityNetwork, SalityNetworkConfig
+from repro.botnets.sality.protocol import Command
+from repro.botnets.zeus.bot import ZeusBot
 from repro.botnets.zeus.network import ZeusNetwork, ZeusNetworkConfig
+from repro.botnets.zeus.protocol import MessageType
+from repro.core.sensor import SalitySensor, ZeusSensor
+from repro.core.sinkhole import SinkholeNode
 from repro.net.address import Subnet, subnet_key
+from repro.sim.clock import HOUR
 
 
 def build(**overrides):
@@ -167,3 +176,66 @@ class TestBootstrapPicks:
         slow = network(config(**params))
         slow.build()
         assert fingerprint(fast) == fingerprint(slow)
+
+
+class TestSharedPeerIds:
+    """Peer slots naming a population bot share that bot's own ID
+    objects; the ID table holds one row per bot and nothing else."""
+
+    @pytest.mark.parametrize(
+        "network, config, junk",
+        [(ZeusNetwork, ZeusNetworkConfig, True), (SalityNetwork, SalityNetworkConfig, False)],
+        ids=["zeus-with-junk", "sality"],
+    )
+    def test_slots_share_population_ids(self, network, config, junk):
+        params = dict(population=60, routable_fraction=0.5, bootstrap_peers=8, master_seed=3)
+        if junk:
+            params["disinformation"] = DisinformationPolicy(random.Random(5), junk_ratio=0.3)
+        net = network(config(**params))
+        net.build()
+        net.start_all()
+        net.run_for(HOUR)  # replies decode fresh ID slices into the lists
+        slab = net.state.slab
+        table = slab.id_table
+        assert len(table) == len(net.bots)
+        for bot in net.bots.values():
+            row = table[bot.bot_id]
+            assert row[0] is bot.bot_id
+            assert row[1] == int.from_bytes(bot.bot_id, "big")
+        shared = outside = 0
+        for bot in net.bots.values():
+            for key, slot in bot.peer_list._slots.items():
+                assert slab.ids[slot] is key
+                assert slab.id_ints[slot] == int.from_bytes(key, "big")
+                owner = net.bots_by_bot_id.get(key)
+                if owner is None:
+                    outside += 1
+                    assert key not in table
+                    continue
+                shared += 1
+                assert key is owner.bot_id
+                assert slab.id_ints[slot] is table[key][1]
+        assert shared > len(net.bots)
+        if junk:
+            assert outside > 0  # the junk entries really arrived
+
+
+class TestSharedHandlers:
+    @pytest.mark.parametrize(
+        "cls", [ZeusBot, SalityBot, ZeusSensor, SalitySensor, SinkholeNode]
+    )
+    def test_every_handler_name_resolves(self, cls):
+        for name in cls._HANDLERS.values():
+            assert callable(getattr(cls, name))
+
+    def test_tables_cover_every_wire_byte(self):
+        assert sorted(ZeusBot._HANDLERS) == sorted(int(t) for t in MessageType)
+        assert len(ZeusBot._HANDLERS) == 8
+        assert sorted(SalityBot._HANDLERS) == sorted(int(c) for c in Command)
+        assert len(SalityBot._HANDLERS) == 5
+
+    def test_zeus_bots_share_one_proxy_list(self):
+        net = build(population=40)
+        lists = {id(bot.proxy_list) for bot in net.bots.values()}
+        assert len(lists) == 1
+        assert next(iter(net.bots.values())).proxy_list == net.proxies

@@ -244,6 +244,21 @@ class TestRobustness:
         sched.run_until(5.0)
         assert b.undecodable == 1
 
+    def test_oversized_datagram_counted_and_run_continues(self):
+        """A datagram longer than any Sality packet is undecodable; it
+        must not abort the run, and the next request is still served."""
+        sched, transport = make_world()
+        a = make_bot(sched, transport, 0, cls=CaptureBot)
+        b = make_bot(sched, transport, 1)
+        a.start()
+        b.start()
+        transport.send(a.endpoint, b.endpoint, bytes(5000))  # > MAX_MESSAGE_LEN
+        replies = []
+        send_request(transport, sched, a, b, Command.URLPACK_REQUEST, b"\x00\x00\x00\x01", replies)
+        assert b.undecodable == 1
+        assert b.counters.requests_served == 1
+        assert len(replies) == 1
+
     def test_unsolicited_response_ignored(self):
         sched, transport = make_world()
         a = make_bot(sched, transport, 0)

@@ -7,6 +7,7 @@ import pytest
 from repro.botnets.zeus import protocol
 from repro.botnets.zeus.bot import ZeusBot, ZeusConfig
 from repro.botnets.zeus.protocol import MessageType
+from repro.core.sensor import ZeusSensor
 from repro.net.address import parse_ip
 from repro.net.transport import Endpoint, Transport, TransportConfig
 from repro.sim.clock import HOUR, MINUTE
@@ -227,6 +228,33 @@ class TestDefences:
         sched.run_until(5.0)
         assert b.undecryptable == 1
         assert b.counters.requests_served == 0
+
+    @pytest.mark.parametrize("receiver", ["bot", "sensor"])
+    def test_oversized_datagram_counted_and_run_continues(self, receiver):
+        """A datagram longer than any Zeus message is undecryptable; it
+        must not abort the run, and the next request is still served."""
+        sched, transport = make_world()
+        a = make_bot(sched, transport, 0)
+        if receiver == "bot":
+            b = make_bot(sched, transport, 1)
+        else:
+            rng = random.Random(101)
+            b = ZeusSensor(
+                node_id="sensor-1",
+                bot_id=protocol.random_id(rng),
+                endpoint=Endpoint(parse_ip("25.1.0.1"), 3001),
+                transport=transport,
+                scheduler=sched,
+                rng=rng,
+            )
+        a.start()
+        b.start()
+        transport.send(a.endpoint, b.endpoint, bytes(5000))  # > MAX_MESSAGE_LEN
+        message = protocol.make_message(MessageType.VERSION_REQUEST, a.bot_id, a.rng)
+        transport.send(a.endpoint, b.endpoint, protocol.encrypt_message(message, b.bot_id))
+        sched.run_until(5.0)
+        assert b.undecryptable == 1
+        assert b.counters.requests_served == 1
 
     def test_static_blacklist_blocks(self):
         sched, transport = make_world()

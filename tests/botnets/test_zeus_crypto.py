@@ -1,5 +1,6 @@
 """Unit tests for GameOver Zeus crypto."""
 
+import gc
 import random
 
 import pytest
@@ -116,6 +117,27 @@ class TestKeystreamCache:
         assert cache._entry(KEY, 1)[1] == KeystreamCache.INITIAL_LEN == 32
         cache.xor(KEY, b"x" * 33)
         assert cache._entry(KEY, 1)[1] == 64
+
+    def test_entry_is_an_untracked_tuple_with_bytes_state(self):
+        cache = KeystreamCache()
+        cache.xor(KEY, b"x" * 12)
+        entry = cache._entry(KEY, 1)
+        assert type(entry) is tuple and len(entry) == 5
+        assert type(entry[2]) is bytes and len(entry[2]) == 256
+        gc.collect()
+        assert not gc.is_tracked(entry)
+
+    def test_growth_from_saved_state_matches_raw_rc4(self):
+        """Each doubling resumes the PRGA from the saved bytes state."""
+        cache = KeystreamCache()
+        length = KeystreamCache.INITIAL_LEN
+        cache.xor(KEY, b"x" * length)
+        while length < 4096:
+            entry = cache._entry(KEY, length + 1)
+            length *= 2
+            assert entry[1] == length
+            assert type(entry[2]) is bytes and len(entry[2]) == 256
+            assert entry[0].to_bytes(length, "big") == rc4_keystream(KEY, length)
 
     def test_cache_eviction_safe(self):
         cache = KeystreamCache(max_entries=2)

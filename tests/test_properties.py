@@ -3,14 +3,16 @@ protocol invariants."""
 
 import random
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.botnets import zeroaccess
 from repro.botnets.graph import ConnectivityGraph
 from repro.botnets.base import PeerEntry, PeerList
 from repro.botnets.sality import protocol as sality_protocol
 from repro.botnets.zeus import protocol as zeus_protocol
 from repro.botnets.zeus.crypto import (
+    MAX_MESSAGE_LEN,
     KeystreamCache,
     visual_decode,
     visual_encode,
@@ -29,6 +31,65 @@ ips = st.integers(min_value=0, max_value=MAX_IP)
 ports = st.integers(min_value=1, max_value=65535)
 ids20 = st.binary(min_size=20, max_size=20)
 ids4 = st.binary(min_size=4, max_size=4)
+uint32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
+
+
+def _zeus_payload_for(msg_type):
+    if msg_type == zeus_protocol.MessageType.PEER_LIST_REQUEST:
+        return b"\x05" * 20
+    if msg_type in (
+        zeus_protocol.MessageType.PEER_LIST_REPLY,
+        zeus_protocol.MessageType.PROXY_REPLY,
+    ):
+        return zeus_protocol.encode_peer_entries([])
+    if msg_type == zeus_protocol.MessageType.VERSION_REPLY:
+        return zeus_protocol.encode_version_reply(1, 2)
+    if msg_type == zeus_protocol.MessageType.DATA_REQUEST:
+        return b"\x01"
+    if msg_type == zeus_protocol.MessageType.DATA_REPLY:
+        return zeus_protocol.encode_data_reply(1, b"x")
+    return b""
+
+
+zeus_messages = st.builds(
+    lambda msg_type, session, source, rnd, ttl, padding: zeus_protocol.ZeusMessage(
+        msg_type=int(msg_type),
+        session_id=session,
+        source_id=source,
+        payload=_zeus_payload_for(msg_type),
+        random_byte=rnd,
+        ttl=ttl,
+        padding=padding,
+    ),
+    st.sampled_from(sorted(zeus_protocol.MessageType)),
+    ids20,
+    ids20,
+    st.integers(min_value=0, max_value=255),
+    st.integers(min_value=0, max_value=255),
+    st.binary(max_size=zeus_protocol.MAX_LOP - 1),
+)
+endpoints = st.builds(Endpoint, ips, ports)
+zeus_peer_entries = st.lists(st.tuples(ids20, endpoints), max_size=20)
+sality_messages = st.builds(
+    lambda bot_id, nonce, minor, padding: sality_protocol.SalityMessage(
+        command=int(sality_protocol.Command.PEER_REQUEST),
+        bot_id=bot_id,
+        nonce=nonce,
+        payload=b"",
+        minor_version=minor,
+        padding=padding,
+    ),
+    uint32,
+    uint32,
+    st.integers(min_value=0, max_value=255),
+    st.binary(max_size=sality_protocol.MAX_PADDING),
+)
+zeroaccess_packets = st.builds(
+    zeroaccess.encode_packet,
+    st.sampled_from([zeroaccess.MSG_GETL, zeroaccess.MSG_RETL, zeroaccess.MSG_PUSH]),
+    uint32,
+    st.lists(st.tuples(uint32, ips), max_size=20),
+)
 
 
 class TestAddressProperties:
@@ -73,48 +134,13 @@ class TestCryptoProperties:
 
 
 class TestZeusCodecProperties:
-    @given(
-        st.sampled_from(sorted(zeus_protocol.MessageType)),
-        ids20,
-        ids20,
-        st.integers(min_value=0, max_value=255),
-        st.integers(min_value=0, max_value=255),
-        st.binary(max_size=zeus_protocol.MAX_LOP - 1),
-    )
-    def test_encode_decode_roundtrip(self, msg_type, session, source, rnd, ttl, padding):
-        payload = self._payload_for(msg_type)
-        message = zeus_protocol.ZeusMessage(
-            msg_type=int(msg_type),
-            session_id=session,
-            source_id=source,
-            payload=payload,
-            random_byte=rnd,
-            ttl=ttl,
-            padding=padding,
-        )
+    @given(zeus_messages)
+    def test_encode_decode_roundtrip(self, message):
         decoded = zeus_protocol.decode_message(zeus_protocol.encode_message(message))
         assert decoded == message
 
-    @staticmethod
-    def _payload_for(msg_type):
-        if msg_type == zeus_protocol.MessageType.PEER_LIST_REQUEST:
-            return b"\x05" * 20
-        if msg_type in (
-            zeus_protocol.MessageType.PEER_LIST_REPLY,
-            zeus_protocol.MessageType.PROXY_REPLY,
-        ):
-            return zeus_protocol.encode_peer_entries([])
-        if msg_type == zeus_protocol.MessageType.VERSION_REPLY:
-            return zeus_protocol.encode_version_reply(1, 2)
-        if msg_type == zeus_protocol.MessageType.DATA_REQUEST:
-            return b"\x01"
-        if msg_type == zeus_protocol.MessageType.DATA_REPLY:
-            return zeus_protocol.encode_data_reply(1, b"x")
-        return b""
-
-    @given(st.lists(st.tuples(ids20, ips, ports), max_size=20))
-    def test_peer_entries_roundtrip(self, raw):
-        entries = [(bot_id, Endpoint(ip, port)) for bot_id, ip, port in raw]
+    @given(zeus_peer_entries)
+    def test_peer_entries_roundtrip(self, entries):
         payload = zeus_protocol.encode_peer_entries(entries)
         assert zeus_protocol.decode_peer_entries(payload) == entries
 
@@ -127,28 +153,83 @@ class TestZeusCodecProperties:
 
 
 class TestSalityCodecProperties:
-    @given(
-        st.integers(min_value=0, max_value=0xFFFFFFFF),
-        st.integers(min_value=0, max_value=0xFFFFFFFF),
-        st.integers(min_value=0, max_value=255),
-        st.binary(max_size=sality_protocol.MAX_PADDING),
-    )
-    def test_packet_roundtrip(self, bot_id, nonce, minor, padding):
-        message = sality_protocol.SalityMessage(
-            command=int(sality_protocol.Command.PEER_REQUEST),
-            bot_id=bot_id,
-            nonce=nonce,
-            payload=b"",
-            minor_version=minor,
-            padding=padding,
-        )
+    @given(sality_messages)
+    def test_packet_roundtrip(self, message):
         wire = sality_protocol.encode_packet(message)
         assert sality_protocol.decode_packet(wire) == message
 
-    @given(st.integers(min_value=0, max_value=0xFFFFFFFF), ips, ports)
+    @given(uint32, ips, ports)
     def test_peer_entry_roundtrip(self, bot_id, ip, port):
         payload = sality_protocol.encode_peer_entry(bot_id, Endpoint(ip, port))
         assert sality_protocol.decode_peer_entry(payload) == (bot_id, Endpoint(ip, port))
+
+
+@st.composite
+def hostile(draw, valid):
+    """A valid encoding, then truncated, bit-flipped or extended --
+    sometimes past ``MAX_MESSAGE_LEN``, the longest datagram a codec
+    decrypts."""
+    data = draw(valid)
+    mutation = draw(st.sampled_from(["truncate", "flip", "extend", "oversize"]))
+    if mutation == "truncate":
+        return data[: draw(st.integers(min_value=0, max_value=max(len(data) - 1, 0)))]
+    if mutation == "flip" and data:
+        flipped = bytearray(data)
+        bits = st.integers(min_value=0, max_value=len(data) * 8 - 1)
+        for bit in draw(st.lists(bits, min_size=1, max_size=8)):
+            flipped[bit // 8] ^= 1 << (bit % 8)
+        return bytes(flipped)
+    if mutation == "oversize":
+        total = draw(st.integers(min_value=MAX_MESSAGE_LEN - 1, max_value=MAX_MESSAGE_LEN + 64))
+        return data + bytes([draw(st.integers(0, 255))]) * max(1, total - len(data))
+    return data + draw(st.binary(min_size=1, max_size=64))
+
+
+def _decodes_or_names_error(decode, data, error):
+    """``decode(data)`` returns, or raises ``error`` -- nothing else."""
+    try:
+        decode(data)
+    except error:
+        pass
+
+
+class TestDecoderRobustness:
+    """Every decoder that reads attacker-controlled bytes returns a
+    value or raises its codec's named error, and nothing else."""
+
+    @given(zeus_messages, ids20, st.data())
+    def test_zeus_decrypt_message(self, message, own_id, data):
+        wire = data.draw(hostile(st.just(zeus_protocol.encrypt_message(message, own_id))))
+        _decodes_or_names_error(
+            lambda raw: zeus_protocol.decrypt_message(raw, own_id),
+            wire,
+            zeus_protocol.ZeusDecodeError,
+        )
+
+    @given(hostile(zeus_peer_entries.map(zeus_protocol.encode_peer_entries)))
+    def test_zeus_decode_peer_entries(self, payload):
+        _decodes_or_names_error(
+            zeus_protocol.decode_peer_entries, payload, zeus_protocol.ZeusDecodeError
+        )
+
+    @given(hostile(sality_messages.map(sality_protocol.encode_packet)))
+    @example(bytes(4 + MAX_MESSAGE_LEN + 1))  # one byte past the nonce + body limit
+    def test_sality_decode_packet(self, wire):
+        _decodes_or_names_error(
+            sality_protocol.decode_packet, wire, sality_protocol.SalityDecodeError
+        )
+
+    @given(hostile(st.builds(sality_protocol.encode_peer_entry, uint32, endpoints)))
+    def test_sality_decode_peer_entry(self, payload):
+        _decodes_or_names_error(
+            sality_protocol.decode_peer_entry, payload, sality_protocol.SalityDecodeError
+        )
+
+    @given(hostile(zeroaccess_packets))
+    def test_zeroaccess_decode_packet(self, wire):
+        _decodes_or_names_error(
+            zeroaccess.decode_packet, wire, zeroaccess.ZeroAccessDecodeError
+        )
 
 
 class TestGraphProperties:
