@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.net.address import Subnet, format_ip
 from repro.net.transport import Endpoint
+from repro.sim.rng import random_bytes
 
 
 class StaticBlacklist:
@@ -162,7 +163,7 @@ class DisinformationPolicy:
         if self.shadow_nodes and self.rng.random() < 0.5:
             node = self.rng.choice(self.shadow_nodes)
             return (node.bot_id, node.endpoint)
-        bot_id = bytes(self.rng.getrandbits(8) for _ in range(id_length))
+        bot_id = random_bytes(self.rng, id_length)
         ip = self.junk_space.random_ip(self.rng)
         port = self.rng.randrange(1024, 65535)
         return (bot_id, Endpoint(ip, port))

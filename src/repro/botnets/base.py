@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.net.address import subnet_key
 from repro.net.transport import Endpoint, Message, Transport
@@ -174,6 +174,14 @@ class PeerList:
         self._entries[entry.bot_id] = entry
         self._index_add(entry)
         return True
+
+    def seed(self, rows: Iterable[Tuple[bytes, Endpoint]], last_seen: float, goodcount: int = 0) -> None:
+        """Add each ``(bot_id, endpoint)`` row in order, as
+        ``add(PeerEntry(bot_id, endpoint, last_seen, 0, goodcount))``:
+        how a bootstrap list is installed."""
+        add = self.add
+        for bot_id, endpoint in rows:
+            add(PeerEntry(bot_id, endpoint, last_seen, 0, goodcount))
 
     def remove(self, bot_id: bytes) -> bool:
         entry = self._entries.pop(bot_id, None)

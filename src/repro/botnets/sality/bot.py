@@ -25,10 +25,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.botnets.base import BotNode, PeerEntry, PeerList
+from repro.botnets.state import PeerSlab, SlabPeerList
 from repro.botnets.sality import protocol
 from repro.botnets.sality.protocol import Command, SalityDecodeError, SalityMessage
 from repro.net.transport import Endpoint, Message, Transport
 from repro.sim.clock import MINUTE
+from repro.sim.rng import random_bytes
 from repro.sim.scheduler import Scheduler
 
 
@@ -103,6 +105,7 @@ class SalityBot(BotNode):
         rng: random.Random,
         routable: bool = True,
         config: Optional[SalityConfig] = None,
+        slab: Optional[PeerSlab] = None,
     ) -> None:
         self.config = config if config is not None else SalityConfig()
         super().__init__(
@@ -118,24 +121,28 @@ class SalityBot(BotNode):
         if len(bot_id) != 4:
             raise ValueError("Sality bot ids are 4-byte random integers")
         self.int_id = int.from_bytes(bot_id, "big")
-        self.peer_list = PeerList(
-            capacity=self.config.peer_list_capacity, ip_filter_prefix=32
-        )
+        # A population's bots keep their lists on its shared slab;
+        # sensors and standalone bots keep PeerList.
+        if slab is None:
+            self.peer_list = PeerList(self.config.peer_list_capacity, 32)
+        else:
+            self.peer_list = SlabPeerList(self.config.peer_list_capacity, 32, slab)
         self._pending: Dict[int, _Pending] = {}
         self._plr_history: List[Tuple[float, int]] = []
         self.undecodable = 0
         self.urlpack_sequence = 1
-        self.urlpack_blob = bytes([self.rng.getrandbits(8) for _ in range(32)])
+        self.urlpack_blob = random_bytes(self.rng, 32)
 
     # -- bootstrap / detection hooks ----------------------------------------
 
     def seed_peers(self, peers: List[Tuple[bytes, Endpoint]]) -> None:
-        now = self.scheduler.now
-        for bot_id, endpoint in peers:
-            if bot_id != self.bot_id:
-                self.peer_list.add(
-                    PeerEntry(bot_id=bot_id, endpoint=endpoint, last_seen=now, goodcount=self.config.goodcount_propagate_threshold)
-                )
+        """Install a bootstrap peer list; seeded peers start reputed."""
+        own = self.bot_id
+        self.peer_list.seed(
+            [row for row in peers if row[0] != own],
+            self.scheduler.now,
+            self.config.goodcount_propagate_threshold,
+        )
 
     def peer_list_requesters(self, since: float, until: Optional[float] = None) -> List[Tuple[float, int]]:
         """(time, ip) of peer-exchange requests received in [since, until)."""

@@ -29,7 +29,8 @@ from enum import IntEnum
 from typing import Optional, Tuple
 
 from repro.botnets.zeus.crypto import MAX_MESSAGE_LEN, KeystreamCache
-from repro.net.transport import Endpoint
+from repro.net.transport import Endpoint, intern_endpoint
+from repro.sim.rng import random_bytes
 
 HEADER_LEN = 12
 MAJOR_VERSION = 3
@@ -97,8 +98,7 @@ def make_message(
         nonce=nonce if nonce is not None else rng.getrandbits(32),
         payload=payload,
         minor_version=minor_version,
-        # Per-byte draws are load-bearing for replay compatibility.
-        padding=bytes([rng.getrandbits(8) for _ in range(pad_len)]),
+        padding=random_bytes(rng, pad_len),
     )
 
 
@@ -201,7 +201,8 @@ def encode_peer_entry(bot_id: int, endpoint: Endpoint) -> bytes:
 
 
 def decode_peer_entry(payload: bytes) -> Optional[Tuple[int, Endpoint]]:
-    """Parse a PEER_RESPONSE payload; None for an empty response."""
+    """Parse a PEER_RESPONSE payload; None for an empty response.  The
+    endpoint is interned (:func:`repro.net.transport.intern_endpoint`)."""
     if not payload:
         return None
     if len(payload) != PEER_ENTRY_LEN:
@@ -211,7 +212,7 @@ def decode_peer_entry(payload: bytes) -> Optional[Tuple[int, Endpoint]]:
     port = int.from_bytes(payload[8:10], "big")
     if port == 0:
         raise SalityDecodeError("zero port in peer entry")
-    return bot_id, Endpoint(ip, port)
+    return bot_id, intern_endpoint(ip, port)
 
 
 def encode_urlpack(sequence: int, blob: bytes) -> bytes:

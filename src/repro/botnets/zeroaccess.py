@@ -130,10 +130,8 @@ class ZeroAccessBot(BotNode):
         return int.from_bytes(self.bot_id, "big")
 
     def seed_peers(self, peers: List[Tuple[bytes, Endpoint]]) -> None:
-        now = self.scheduler.now
-        for bot_id, endpoint in peers:
-            if bot_id != self.bot_id:
-                self.peer_list.add(PeerEntry(bot_id=bot_id, endpoint=endpoint, last_seen=now))
+        own = self.bot_id
+        self.peer_list.seed([row for row in peers if row[0] != own], self.scheduler.now)
 
     def _freshest_entries(self) -> List[Tuple[int, int]]:
         entries = sorted(self.peer_list.entries(), key=lambda e: -e.last_seen)

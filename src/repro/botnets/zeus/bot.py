@@ -29,10 +29,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.botnets.antirecon import AutoBlacklister, DisinformationPolicy, StaticBlacklist
 from repro.botnets.base import BotNode, PeerEntry, PeerList
+from repro.botnets.state import PeerSlab, SlabPeerList
 from repro.botnets.zeus import protocol
 from repro.botnets.zeus.protocol import MessageType, ZeusDecodeError, ZeusMessage
 from repro.net.transport import Endpoint, Message, Transport
 from repro.sim.clock import MINUTE
+from repro.sim.rng import random_bytes
 from repro.sim.scheduler import Scheduler
 
 DEFAULT_VERSION = 0x00030204  # "3.2.4" packed; bots compare numerically
@@ -121,6 +123,7 @@ class ZeusBot(BotNode):
         config: Optional[ZeusConfig] = None,
         static_blacklist: Optional[StaticBlacklist] = None,
         disinformation: Optional[DisinformationPolicy] = None,
+        slab: Optional[PeerSlab] = None,
     ) -> None:
         self.config = config if config is not None else ZeusConfig()
         super().__init__(
@@ -133,10 +136,16 @@ class ZeusBot(BotNode):
             routable=routable,
             cycle_interval=self.config.cycle_interval,
         )
-        self.peer_list = PeerList(
-            capacity=self.config.peer_list_capacity,
-            ip_filter_prefix=self.config.subnet_filter_prefix,
-        )
+        # A population's bots keep their lists on its shared slab;
+        # sensors, sinkholes and standalone bots keep PeerList.
+        if slab is None:
+            self.peer_list = PeerList(
+                self.config.peer_list_capacity, self.config.subnet_filter_prefix
+            )
+        else:
+            self.peer_list = SlabPeerList(
+                self.config.peer_list_capacity, self.config.subnet_filter_prefix, slab
+            )
         self.proxy_list: List[Tuple[bytes, Endpoint]] = []
         self.static_blacklist = static_blacklist if static_blacklist is not None else StaticBlacklist()
         self.auto_blacklister = AutoBlacklister(
@@ -149,16 +158,14 @@ class ZeusBot(BotNode):
         self._plr_history: List[Tuple[float, int]] = []
         self.undecryptable = 0
         self.blacklist_drops = 0
-        self.config_blob = bytes([self.rng.getrandbits(8) for _ in range(64)])
+        self.config_blob = random_bytes(self.rng, 64)
 
     # -- bootstrap ---------------------------------------------------------
 
     def seed_peers(self, peers: List[Tuple[bytes, Endpoint]]) -> None:
         """Install a bootstrap peer list (what a dropper ships with)."""
-        now = self.scheduler.now
-        for bot_id, endpoint in peers:
-            if bot_id != self.bot_id:
-                self.peer_list.add(PeerEntry(bot_id=bot_id, endpoint=endpoint, last_seen=now))
+        own = self.bot_id
+        self.peer_list.seed([row for row in peers if row[0] != own], self.scheduler.now)
 
     # -- detection-algorithm input ------------------------------------------
 

@@ -20,6 +20,7 @@ from repro.botnets.sality import protocol as sality_protocol
 from repro.botnets.sality.protocol import SalityMessage
 from repro.botnets.zeus import protocol as zeus_protocol
 from repro.botnets.zeus.protocol import MessageType, ZeusMessage
+from repro.sim.rng import random_bytes
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ class ZeusForger:
         if self.profile.padding_entropy:
             padding = b"\x00" * lop
         else:
-            padding = bytes(self.rng.getrandbits(8) for _ in range(lop))
+            padding = random_bytes(self.rng, lop)
         return rnd, ttl, padding
 
     def build(
@@ -211,7 +212,7 @@ class SalityForger:
         if self.profile.lop_range:
             return b""  # fixed zero-length padding
         length = self.rng.randrange(0, sality_protocol.MAX_PADDING + 1)
-        return bytes(self.rng.getrandbits(8) for _ in range(length))
+        return random_bytes(self.rng, length)
 
     def build(
         self,

@@ -55,6 +55,30 @@ class Endpoint:
         return rendered
 
 
+#: Intern table for decoded peer endpoints.  The same few thousand
+#: peers are re-decoded from every peer-list reply, Zeus and Sality
+#: alike; reusing one Endpoint per (ip, port) skips dataclass
+#: construction and validation on the hot path, shares the cached
+#: ``str()`` form, and keeps one object per peer in the peer lists.
+#: Endpoints compare by value, so interning is observationally
+#: identical.  Bounded like the keystream cache: cleared wholesale if
+#: churn or junk peers ever flood it.
+_ENDPOINT_INTERN_MAX = 1 << 17
+_endpoint_intern: Dict[Tuple[int, int], Endpoint] = {}
+
+
+def intern_endpoint(ip: int, port: int) -> Endpoint:
+    """The interned ``Endpoint(ip, port)``."""
+    intern = _endpoint_intern
+    key = (ip, port)
+    endpoint = intern.get(key)
+    if endpoint is None:
+        if len(intern) >= _ENDPOINT_INTERN_MAX:
+            intern.clear()
+        endpoint = intern[key] = Endpoint(ip, port)
+    return endpoint
+
+
 class Message:
     """A delivered (or dropped) payload with transport metadata.
 

@@ -17,6 +17,17 @@ import random
 from typing import Dict
 
 
+def random_bytes(rng: random.Random, n: int) -> bytes:
+    """``n`` bytes, each the top byte of one 32-bit draw.
+
+    Equal to ``bytes(rng.getrandbits(8) for _ in range(n))``, and leaves
+    ``rng`` in the same state: ``getrandbits(32 * n)`` fills its words
+    in draw order, least significant first, and ``getrandbits(8)`` is
+    the top byte of one word.  (``rng.randbytes`` draws differently.)
+    """
+    return rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
+
+
 def derive_seed(master_seed: int, name: str) -> int:
     """Derive a 64-bit child seed from ``master_seed`` and a label.
 

@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.rng import RngRegistry, derive_seed
+from repro.sim.rng import RngRegistry, derive_seed, random_bytes
 from repro.sim.scheduler import Scheduler
 
 # One scheduler operation: (insert? , time , cancel-target).  Cancel
@@ -137,3 +137,11 @@ class TestRngRegistryProperties:
             scheduler.run()
             traces.append(trace)
         assert traces[0] == traces[1]
+
+    @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=512))
+    def test_random_bytes_is_per_byte_draws(self, seed, n):
+        """``random_bytes`` returns the bytes of ``n`` one-byte draws and
+        leaves the stream where those draws leave it."""
+        fast, reference = random.Random(seed), random.Random(seed)
+        assert random_bytes(fast, n) == bytes(reference.getrandbits(8) for _ in range(n))
+        assert fast.getstate() == reference.getstate()
