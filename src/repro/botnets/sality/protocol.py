@@ -42,7 +42,10 @@ PEER_ENTRY_LEN = 4 + 4 + 2  # bot id + IPv4 + port
 # analysts build Sality probes in practice).
 NETWORK_KEY = b"sality3-p2p-network!"
 
-_keystreams = KeystreamCache(max_entries=65536)
+# A nonce key serves one exchange (the request and its echoed reply),
+# so the cap only needs to cover the exchanges in flight; the wholesale
+# clear at the cap recomputes just those few keys.
+_keystreams = KeystreamCache(max_entries=4096)
 
 
 class Command(IntEnum):
@@ -133,7 +136,7 @@ def encode_packet(message: SalityMessage) -> bytes:
 def decode_packet(data: bytes) -> SalityMessage:
     """Decrypt and parse; :class:`SalityDecodeError` on irrational
     structure (short or oversized packet, bad version, unknown command,
-    bad pad)."""
+    bad pad, bad payload such as a HELLO advertising port 0)."""
     if len(data) < 4 + HEADER_LEN:
         raise SalityDecodeError(f"short packet: {len(data)} bytes")
     if len(data) > 4 + MAX_MESSAGE_LEN:
@@ -169,6 +172,8 @@ def _validate_payload(message: SalityMessage) -> None:
     if command == Command.HELLO:
         if len(payload) != 2:
             raise SalityDecodeError("hello needs a 2-byte listening port")
+        if payload == b"\x00\x00":
+            raise SalityDecodeError("zero port in hello")
     elif command == Command.PEER_REQUEST:
         if payload:
             raise SalityDecodeError("peer request carries no payload")

@@ -257,8 +257,10 @@ class ZeusBot(BotNode):
             self.blacklist_drops += 1
             return
         self._plr_history.append((now, src.ip))
-        # Push mechanism: the requester advertises itself.
-        self.peer_list.add(PeerEntry(bot_id=request.source_id, endpoint=src, last_seen=now))
+        # Push mechanism: the requester advertises itself -- unless it
+        # claims our own ID, which would file us under its address.
+        if request.source_id != self.bot_id:
+            self.peer_list.add(PeerEntry(bot_id=request.source_id, endpoint=src, last_seen=now))
         # XOR-nearest selection, delegated to the peer list so the slab
         # backend can rank on its precomputed id integers.
         selected = self.peer_list.closest(

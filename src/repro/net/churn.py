@@ -12,35 +12,12 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from heapq import heappop, heappush
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.clock import DAY, HOUR
 from repro.sim.scheduler import Scheduler, Timer
-
-try:  # vectorized deadline scans; the array fallback is ~100x slower
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships in the toolchain
-    _np = None
-
-
-def _due_indices(deadlines: "array", now: float) -> List[int]:
-    """Indices whose deadline has arrived (normally a handful)."""
-    n = len(deadlines)
-    if _np is not None:
-        view = _np.frombuffer(deadlines, dtype=_np.float64, count=n)
-        return _np.flatnonzero(view <= now).tolist()
-    return [i for i in range(n) if deadlines[i] <= now]
-
-
-def _min_deadline(deadlines: "array") -> float:
-    if not len(deadlines):
-        return math.inf
-    if _np is not None:
-        view = _np.frombuffer(deadlines, dtype=_np.float64, count=len(deadlines))
-        return float(view.min())
-    return min(deadlines)
 
 
 @dataclass
@@ -82,73 +59,31 @@ class ChurnConfig:
             raise ValueError("holding times must be positive")
 
 
-class ChurnProcess:
-    """Drives online/offline sessions for a set of nodes.
-
-    The process calls ``on_up(node_id)`` / ``on_down(node_id)`` at
-    session boundaries.  Node identity is opaque to the process.
+class _DeadlineHeap:
+    """Per-node deadlines in one binary heap, behind a single timer.
 
     Instead of one scheduler timer per node (a timer + closure per bot,
-    forever), per-node flip deadlines live in a flat float array and a
-    *single* timer sits at the earliest one; each firing scans the
-    array for due nodes.  Flip times and RNG draw order are exactly
-    those of the timer-per-node scheme: deadlines equal the old firing
-    times, each node draws its next holding time right after flipping,
-    and simultaneous flips are processed in scheduling order (the old
-    scheduler-sequence tie-break).
+    forever), each node's next deadline is one ``(deadline, stamp,
+    index)`` heap entry and a *single* timer sits at the heap's top.
+    A firing pops the due entries and hands each node to ``_due``, which
+    re-arms it; every node always has exactly one entry, so the heap
+    holds nothing stale and a deadline costs one pop and one push,
+    O(log n).  Deadlines equal the timer-per-node firing times, and the
+    stamp is the arm counter, so simultaneous deadlines run in
+    scheduling order (the scheduler's sequence tie-break).
     """
 
-    def __init__(
-        self,
-        scheduler: Scheduler,
-        rng: random.Random,
-        config: ChurnConfig,
-        on_up: Callable[[str], None],
-        on_down: Callable[[str], None],
-    ) -> None:
+    def __init__(self, scheduler: Scheduler) -> None:
         self.scheduler = scheduler
-        self.rng = rng
-        self.config = config
-        self.on_up = on_up
-        self.on_down = on_down
-        self.transitions = 0
-        self._ids: List[str] = []
-        self._index: Dict[str, int] = {}
-        self._up = bytearray()
-        self._deadline = array("d")
-        self._stamp = array("Q")  # scheduling order, for same-time ties
+        self._heap: List[Tuple[float, int, int]] = []
         self._stamps = 0
         self._timer: Optional[Timer] = None
 
-    def add_node(self, node_id: str, online: bool = True) -> None:
-        """Register a node and start its session cycle."""
-        if node_id in self._index:
-            raise ValueError(f"node already managed: {node_id}")
-        index = len(self._ids)
-        self._index[node_id] = index
-        self._ids.append(node_id)
-        self._up.append(1 if online else 0)
-        self._deadline.append(0.0)
-        self._stamp.append(0)
-        self._arm(index)
-        self._retime(self._deadline[index])
-
-    def is_online(self, node_id: str) -> bool:
-        index = self._index.get(node_id)
-        return False if index is None else bool(self._up[index])
-
-    def online_count(self) -> int:
-        return sum(self._up)
-
-    def _arm(self, index: int) -> None:
-        """Draw the next holding time for a node's *current* state."""
-        if self._up[index]:
-            delay = self.rng.expovariate(1.0 / self.config.mean_session)
-        else:
-            delay = self.rng.expovariate(1.0 / self.config.mean_offline)
-        self._deadline[index] = self.scheduler.now + max(1.0, delay)
-        self._stamp[index] = self._stamps
+    def _push(self, index: int, delay: float) -> float:
+        deadline = self.scheduler.now + delay
+        heappush(self._heap, (deadline, self._stamps, index))
         self._stamps += 1
+        return deadline
 
     def _retime(self, deadline: float) -> None:
         """Pull the single timer earlier if ``deadline`` beats it."""
@@ -162,39 +97,88 @@ class ChurnProcess:
     def _fire(self) -> None:
         self._timer = None
         now = self.scheduler.now
-        due = _due_indices(self._deadline, now)
-        if len(due) > 1:
-            due.sort(key=self._stamp.__getitem__)
-        for index in due:
-            if self._up[index]:
-                self._go_down(index)
-            else:
-                # Diurnal bias: at the trough, offline bots tend to stay
-                # offline a while longer instead of returning immediately.
-                diurnal = self.config.diurnal
-                if diurnal is not None:
-                    p = diurnal.online_probability(now)
-                    if self.rng.random() > p:
-                        self._arm(index)
-                        continue
-                self._go_up(index)
-            self._arm(index)
-        next_deadline = _min_deadline(self._deadline)
-        if next_deadline < math.inf:
-            self._retime(next_deadline)
+        heap = self._heap
+        # Re-armed deadlines are at least a second out, so the loop
+        # never pops an entry it pushed.
+        while heap and heap[0][0] <= now:
+            self._due(heappop(heap)[2], now)
+        if heap:
+            self._retime(heap[0][0])
 
-    def _go_up(self, index: int) -> None:
-        self._up[index] = 1
-        self.transitions += 1
-        self.on_up(self._ids[index])
-
-    def _go_down(self, index: int) -> None:
-        self._up[index] = 0
-        self.transitions += 1
-        self.on_down(self._ids[index])
+    def _due(self, index: int, now: float) -> None:
+        raise NotImplementedError
 
 
-class IpChurnProcess:
+class ChurnProcess(_DeadlineHeap):
+    """Drives online/offline sessions for a set of nodes.
+
+    The process calls ``on_up(node_id)`` / ``on_down(node_id)`` at
+    session boundaries.  Node identity is opaque to the process.  Flip
+    times and RNG draw order are exactly those of one scheduler timer
+    per node: each node draws its next holding time right after
+    flipping, and simultaneous flips run in scheduling order.
+    """
+
+    def __init__(
+        self,
+        scheduler: Scheduler,
+        rng: random.Random,
+        config: ChurnConfig,
+        on_up: Callable[[str], None],
+        on_down: Callable[[str], None],
+    ) -> None:
+        super().__init__(scheduler)
+        self.rng = rng
+        self.config = config
+        self.on_up = on_up
+        self.on_down = on_down
+        self.transitions = 0
+        self._ids: List[str] = []
+        self._index: Dict[str, int] = {}
+        self._up = bytearray()
+
+    def add_node(self, node_id: str, online: bool = True) -> None:
+        """Register a node and start its session cycle."""
+        if node_id in self._index:
+            raise ValueError(f"node already managed: {node_id}")
+        index = len(self._ids)
+        self._index[node_id] = index
+        self._ids.append(node_id)
+        self._up.append(1 if online else 0)
+        self._retime(self._arm(index))
+
+    def is_online(self, node_id: str) -> bool:
+        index = self._index.get(node_id)
+        return False if index is None else bool(self._up[index])
+
+    def online_count(self) -> int:
+        return sum(self._up)
+
+    def _arm(self, index: int) -> float:
+        """Draw the next holding time for a node's *current* state."""
+        if self._up[index]:
+            delay = self.rng.expovariate(1.0 / self.config.mean_session)
+        else:
+            delay = self.rng.expovariate(1.0 / self.config.mean_offline)
+        return self._push(index, max(1.0, delay))
+
+    def _due(self, index: int, now: float) -> None:
+        if self._up[index]:
+            self._up[index] = 0
+            self.transitions += 1
+            self.on_down(self._ids[index])
+        else:
+            # Diurnal bias: at the trough, offline bots tend to stay
+            # offline a while longer instead of returning immediately.
+            diurnal = self.config.diurnal
+            if diurnal is None or self.rng.random() <= diurnal.online_probability(now):
+                self._up[index] = 1
+                self.transitions += 1
+                self.on_up(self._ids[index])
+        self._arm(index)
+
+
+class IpChurnProcess(_DeadlineHeap):
     """DHCP-style IP reassignment, the source of address aliasing.
 
     Every ``mean_lease`` seconds (exponential), a managed node gets a
@@ -202,9 +186,8 @@ class IpChurnProcess:
     actual rebind and returns nothing.  Crawls that span many leases
     will count the same bot under several addresses, inflating size
     estimates -- the aliasing effect that caps useful crawls at ~24h.
-
-    Like :class:`ChurnProcess`, lease expiries live in one deadline
-    array scanned from a single timer rather than one timer per node.
+    Lease expiries sit in a deadline heap behind a single timer, as
+    session flips do in :class:`ChurnProcess`.
     """
 
     def __init__(
@@ -216,49 +199,23 @@ class IpChurnProcess:
     ) -> None:
         if mean_lease <= 0:
             raise ValueError("mean_lease must be positive")
-        self.scheduler = scheduler
+        super().__init__(scheduler)
         self.rng = rng
         self.reassign = reassign
         self.mean_lease = mean_lease
         self.reassignments = 0
         self._managed: List[str] = []
-        self._deadline = array("d")
-        self._stamp = array("Q")
-        self._stamps = 0
-        self._timer: Optional[Timer] = None
 
     def add_node(self, node_id: str) -> None:
         index = len(self._managed)
         self._managed.append(node_id)
-        self._deadline.append(0.0)
-        self._stamp.append(0)
-        self._arm(index)
-        self._retime(self._deadline[index])
+        self._retime(self._arm(index))
 
-    def _arm(self, index: int) -> None:
+    def _arm(self, index: int) -> float:
         delay = self.rng.expovariate(1.0 / self.mean_lease)
-        self._deadline[index] = self.scheduler.now + max(60.0, delay)
-        self._stamp[index] = self._stamps
-        self._stamps += 1
+        return self._push(index, max(60.0, delay))
 
-    def _retime(self, deadline: float) -> None:
-        timer = self._timer
-        if timer is not None:
-            if timer.time <= deadline:
-                return
-            timer.cancel()
-        self._timer = self.scheduler.call_at(deadline, self._fire)
-
-    def _fire(self) -> None:
-        self._timer = None
-        now = self.scheduler.now
-        due = _due_indices(self._deadline, now)
-        if len(due) > 1:
-            due.sort(key=self._stamp.__getitem__)
-        for index in due:
-            self.reassignments += 1
-            self.reassign(self._managed[index])
-            self._arm(index)
-        next_deadline = _min_deadline(self._deadline)
-        if next_deadline < math.inf:
-            self._retime(next_deadline)
+    def _due(self, index: int, now: float) -> None:
+        self.reassignments += 1
+        self.reassign(self._managed[index])
+        self._arm(index)

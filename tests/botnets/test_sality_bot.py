@@ -259,6 +259,23 @@ class TestRobustness:
         assert b.counters.requests_served == 1
         assert len(replies) == 1
 
+    def test_zero_port_hello_counted_and_run_continues(self):
+        """A HELLO advertising port 0 is undecodable: it must not abort
+        the run (the bot cannot file an endpoint with port 0), and the
+        next request is still served."""
+        sched, transport = make_world()
+        a = make_bot(sched, transport, 0, cls=CaptureBot)
+        b = make_bot(sched, transport, 1)
+        a.start()
+        b.start()
+        replies = []
+        send_request(transport, sched, a, b, Command.HELLO, protocol.encode_hello(0), replies)
+        assert b.undecodable == 1
+        assert len(b.peer_list) == 0
+        send_request(transport, sched, a, b, Command.URLPACK_REQUEST, b"\x00\x00\x00\x01", replies)
+        assert b.counters.requests_served == 1
+        assert len(replies) == 1
+
     def test_unsolicited_response_ignored(self):
         sched, transport = make_world()
         a = make_bot(sched, transport, 0)

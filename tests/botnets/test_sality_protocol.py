@@ -40,6 +40,10 @@ class TestCodec:
         # Plaintext header bytes (major=3, command) must not be visible.
         assert wire[4] != protocol.MAJOR_VERSION or wire[6] != Command.HELLO
 
+    def test_zero_port_hello_rejected(self):
+        with pytest.raises(SalityDecodeError):
+            decode_packet(encode_packet(fresh(Command.HELLO, protocol.encode_hello(0))))
+
     def test_short_packet_rejected(self):
         with pytest.raises(SalityDecodeError):
             decode_packet(b"\x00" * 8)

@@ -107,6 +107,24 @@ class TestUnsolicitedReplies:
         sched.run_until(6 * HOUR)
         assert a.bot_id not in a.peer_list
 
+    def test_own_id_never_pushed_by_requests(self):
+        """A peer-list request naming the receiver as its source is
+        answered, but does not file the receiver under the sender's
+        address."""
+        sched, transport = make_world()
+        a = make_bot(sched, transport, 0)
+        b = make_bot(sched, transport, 1)
+        a.start()
+        b.start()
+        request = protocol.make_message(
+            MessageType.PEER_LIST_REQUEST, a.bot_id, b.rng, payload=a.bot_id
+        )
+        send(transport, b, a, request)
+        sched.run_until(10.0)
+        assert a.counters.requests_served == 1
+        assert a.bot_id not in a.peer_list
+        assert len(a.peer_list) == 0
+
 
 class TestProxyAndData:
     def test_proxy_reply_resolves_pending(self):

@@ -10,7 +10,10 @@ from repro.botnets import zeroaccess
 from repro.botnets.graph import ConnectivityGraph
 from repro.botnets.base import PeerEntry, PeerList
 from repro.botnets.sality import protocol as sality_protocol
+from repro.botnets.sality.bot import SalityBot, SalityConfig
+from repro.botnets.state import PeerSlab
 from repro.botnets.zeus import protocol as zeus_protocol
+from repro.botnets.zeus.bot import ZeusBot, ZeusConfig
 from repro.botnets.zeus.crypto import (
     MAX_MESSAGE_LEN,
     KeystreamCache,
@@ -24,7 +27,7 @@ from repro.core.detection.aggregation import MemberReport, aggregate_group, requ
 from repro.core.detection.groups import group_of, sample_bit_positions
 from repro.core.detection.voting import LeaderVote, retrieve_from_leaders, tally_votes
 from repro.net.address import MAX_IP, format_ip, parse_ip, prefix_mask, subnet_key
-from repro.net.transport import Endpoint
+from repro.net.transport import Endpoint, Transport, TransportConfig
 from repro.sim.scheduler import Scheduler
 
 ips = st.integers(min_value=0, max_value=MAX_IP)
@@ -229,6 +232,187 @@ class TestDecoderRobustness:
     def test_zeroaccess_decode_packet(self, wire):
         _decodes_or_names_error(
             zeroaccess.decode_packet, wire, zeroaccess.ZeroAccessDecodeError
+        )
+
+
+# -- hostile but decodable input to bot handlers -------------------------------
+
+#: Bound attacker endpoints with the extreme ports 1 and 65535: the
+#: first two share an IP and the first three a /20, which starts empty.
+#: The victim's seeded neighbours live at the last three (three more
+#: /20s), so the attackers also speak from their neighbours' addresses.
+HOSTILE_ENDPOINTS = [
+    Endpoint(parse_ip("60.0.0.1"), 1),
+    Endpoint(parse_ip("60.0.0.1"), 65535),
+    Endpoint(parse_ip("60.0.15.255"), 65535),
+    Endpoint(parse_ip("60.0.16.1"), 1),
+    Endpoint(parse_ip("61.0.0.1"), 65535),
+    Endpoint(parse_ip("62.0.0.1"), 1),
+]
+NEIGHBOUR_AT = (3, 4, 5)
+#: Index into a victim's ID pool: 0 is its own ID, 1-3 its neighbours,
+#: 4-5 two attacker IDs, so every draw is a repeat of a few IDs.
+pool_ids = st.integers(min_value=0, max_value=5)
+hostile_at = st.integers(min_value=0, max_value=len(HOSTILE_ENDPOINTS) - 1)
+#: Index into the victim's pending sessions or nonces; None, or past the
+#: end, picks a fresh value instead.
+pending_picks = st.one_of(st.none(), st.integers(min_value=0, max_value=2))
+pauses = st.sampled_from([0.5, 5.0, 90.0, 400.0])
+
+
+def _hostile_world(slab):
+    scheduler = Scheduler()
+    transport = Transport(scheduler, random.Random(0), config=TransportConfig(loss_rate=0.0))
+    for endpoint in HOSTILE_ENDPOINTS:
+        transport.bind(endpoint, lambda message: None)
+    return scheduler, transport, (PeerSlab() if slab else None)
+
+
+def _assert_list_sane(bot):
+    """The bot's own ID is absent, the list is within capacity, and it
+    holds at most one entry per filter subnet."""
+    peer_list = bot.peer_list
+    assert bot.bot_id not in peer_list
+    assert len(peer_list) <= peer_list.capacity
+    keys = [subnet_key(entry.endpoint.ip, peer_list.ip_filter_prefix) for entry in peer_list]
+    assert len(keys) == len(set(keys))
+
+
+def _pick_pending(pending, pick, fresh):
+    keys = list(pending)
+    return fresh if pick is None or pick >= len(keys) else keys[pick]
+
+
+def _run_hostile(scheduler, victim, deliveries):
+    """Start ``victim`` with a cycle due at once, then deliver each
+    ``(src, wire, pause)`` and run for ``pause`` seconds, checking the
+    victim's list after every step."""
+    victim.start(first_cycle_delay=1.0)
+    scheduler.run_until(2.0)  # the first cycle's requests are pending
+    for src, build_wire, pause in deliveries:
+        victim.transport.send(src, victim.endpoint, build_wire())
+        scheduler.run_until(scheduler.now + pause)
+        _assert_list_sane(victim)
+
+
+zeus_hostile_ops = st.lists(
+    st.tuples(
+        hostile_at,
+        st.sampled_from(sorted(zeus_protocol.MessageType)),
+        pool_ids,  # source ID
+        pending_picks,  # session ID
+        pool_ids,  # lookup key
+        st.lists(st.tuples(pool_ids, hostile_at), max_size=zeus_protocol.MAX_PEERS_PER_RESPONSE),
+        st.sampled_from([1, 65535]),  # advertised port
+        pauses,
+    ),
+    min_size=1,
+    max_size=25,
+)
+sality_hostile_ops = st.lists(
+    st.tuples(
+        hostile_at,
+        st.sampled_from(sorted(sality_protocol.Command)),
+        pool_ids,  # sender bot ID
+        pending_picks,  # nonce
+        st.one_of(st.none(), st.tuples(pool_ids, hostile_at)),  # peer entry
+        st.sampled_from([0, 1, 65535]),  # advertised port
+        pauses,
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+class TestHostileHandlers:
+    """Bot handlers fed well-formed messages from bound attacker
+    endpoints: the bot's own ID, its neighbours' IDs, repeated IDs,
+    extreme ports, /20 and IP collisions, and replayed pending sessions
+    or nonces.  Nothing escapes the run, and the peer list keeps its
+    invariants."""
+
+    @given(st.integers(min_value=1, max_value=6), st.booleans(), zeus_hostile_ops)
+    @settings(deadline=None)
+    # A peer-list request naming the victim as its source.
+    @example(3, False, [(1, zeus_protocol.MessageType.PEER_LIST_REQUEST, 0, None, 0, [], 1, 5.0)])
+    def test_zeus_bot(self, capacity, slab, ops):
+        scheduler, transport, peer_slab = _hostile_world(slab)
+        rng = random.Random(11)
+        ids = [zeus_protocol.random_id(rng) for _ in range(6)]
+        victim = ZeusBot(
+            "victim", ids[0], Endpoint(parse_ip("25.0.0.1"), 3000), transport, scheduler,
+            random.Random(12), config=ZeusConfig(peer_list_capacity=capacity), slab=peer_slab,
+        )
+        victim.seed_peers([(ids[1 + k], HOSTILE_ENDPOINTS[at]) for k, at in enumerate(NEIGHBOUR_AT)])
+        fresh_session = zeus_protocol.random_id(rng)
+        kinds = zeus_protocol.MessageType
+
+        def wire(msg_type, source, pick, key, entries, port):
+            def build():
+                if msg_type in (kinds.PEER_LIST_REPLY, kinds.PROXY_REPLY):
+                    payload = zeus_protocol.encode_peer_entries(
+                        [(ids[i], HOSTILE_ENDPOINTS[at]) for i, at in entries]
+                    )
+                else:
+                    payload = {
+                        kinds.PEER_LIST_REQUEST: ids[key],
+                        kinds.VERSION_REPLY: zeus_protocol.encode_version_reply(1, port),
+                        kinds.DATA_REQUEST: b"\x01",
+                        kinds.DATA_REPLY: zeus_protocol.encode_data_reply(1, b"x"),
+                    }.get(msg_type, b"")
+                session = _pick_pending(victim._pending, pick, fresh_session)
+                message = zeus_protocol.ZeusMessage(int(msg_type), session, ids[source], payload)
+                return zeus_protocol.encrypt_message(message, victim.bot_id)
+
+            return build
+
+        _run_hostile(
+            scheduler,
+            victim,
+            [(HOSTILE_ENDPOINTS[at], wire(*op), pause) for at, *op, pause in ops],
+        )
+
+    @given(st.integers(min_value=1, max_value=6), st.booleans(), sality_hostile_ops)
+    @settings(deadline=None)
+    # A HELLO advertising port 0.
+    @example(3, False, [(1, sality_protocol.Command.HELLO, 4, None, None, 0, 5.0)])
+    def test_sality_bot(self, capacity, slab, ops):
+        scheduler, transport, peer_slab = _hostile_world(slab)
+        rng = random.Random(21)
+        ids = [rng.getrandbits(32) for _ in range(6)]
+        victim = SalityBot(
+            "victim", ids[0].to_bytes(4, "big"), Endpoint(parse_ip("25.0.0.1"), 3000), transport,
+            scheduler, random.Random(22), config=SalityConfig(peer_list_capacity=capacity),
+            slab=peer_slab,
+        )
+        victim.seed_peers(
+            [(ids[1 + k].to_bytes(4, "big"), HOSTILE_ENDPOINTS[at]) for k, at in enumerate(NEIGHBOUR_AT)]
+        )
+        commands = sality_protocol.Command
+
+        def wire(command, sender, pick, entry, port):
+            def build():
+                if command == commands.PEER_RESPONSE:
+                    payload = b"" if entry is None else sality_protocol.encode_peer_entry(
+                        ids[entry[0]], HOSTILE_ENDPOINTS[entry[1]]
+                    )
+                else:
+                    payload = {
+                        commands.HELLO: sality_protocol.encode_hello(port),
+                        commands.URLPACK_REQUEST: (7).to_bytes(4, "big"),
+                        # The port draw doubles as the pack's sequence number.
+                        commands.URLPACK_RESPONSE: sality_protocol.encode_urlpack(port, b"blob"),
+                    }.get(command, b"")
+                nonce = _pick_pending(victim._pending, pick, 0xFFFFFFFF)
+                message = sality_protocol.SalityMessage(int(command), ids[sender], nonce, payload)
+                return sality_protocol.encode_packet(message)
+
+            return build
+
+        _run_hostile(
+            scheduler,
+            victim,
+            [(HOSTILE_ENDPOINTS[at], wire(*op), pause) for at, *op, pause in ops],
         )
 
 
