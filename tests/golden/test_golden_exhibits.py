@@ -119,3 +119,34 @@ def test_fig3_zeus_small_rendered_golden():
     )
     result = run_sweep(spec, workers=1)
     _check_golden("fig3_zeus_small_sweep.txt", render_result(result))
+
+
+@pytest.fixture(scope="module")
+def fig3_sality_small_result():
+    """A small-population Figure 3b sweep (Sality), fully pinned by root
+    seed 0."""
+    from repro.runner import build_sweep, run_sweep
+
+    spec = build_sweep(
+        "fig3-sality",
+        root_seed=0,
+        scale="tiny",
+        sensors=4,
+        announce_hours=1.0,
+        hours=3.0,
+        ratios=(1, 2, 4),
+    )
+    return run_sweep(spec, workers=1)
+
+
+def test_fig3_sality_small_rendered_golden(fig3_sality_small_result):
+    from repro.runner import render_result
+
+    _check_golden("fig3_sality_small_sweep.txt", render_result(fig3_sality_small_result))
+
+
+def test_fig3_sality_small_values_golden(fig3_sality_small_result):
+    import json
+
+    text = json.dumps(fig3_sality_small_result.values(), indent=2, sort_keys=True)
+    _check_golden("fig3_sality_small_values.json", text)
