@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from repro.net.address import Subnet, format_ip
 from repro.net.transport import Endpoint
@@ -66,6 +66,13 @@ class AutoBlacklister:
     crawlers trip it (Section 3.2).
     """
 
+    __slots__ = ("window", "max_requests", "blocked", "_recent", "_sweep_at")
+
+    #: What ``blocked`` is until the first block: one empty set shared
+    #: by every instance, since most bots never block anyone and an
+    #: empty ``set`` costs 216 bytes.
+    _NONE_BLOCKED: AbstractSet[int] = frozenset()
+
     #: Sweep stale source IPs once the tracking dict reaches this size
     #: (then 2x the surviving size).  Small because the tracker is
     #: per-bot: thousands of instances, each seeing tens of sources.
@@ -76,7 +83,7 @@ class AutoBlacklister:
             raise ValueError("window and max_requests must be positive")
         self.window = window
         self.max_requests = max_requests
-        self.blocked: Set[int] = set()
+        self.blocked: AbstractSet[int] = self._NONE_BLOCKED
         # Request times are short lists (at most max_requests + 1 after
         # the in-window prune), not deques: an idle deque alone costs
         # ~0.6 KB and these dicts exist once per bot.
@@ -112,6 +119,8 @@ class AutoBlacklister:
             if drop:
                 del times[:drop]
         if len(times) > self.max_requests:
+            if self.blocked is self._NONE_BLOCKED:
+                self.blocked = set()
             self.blocked.add(ip)
             del recent[ip]
             return True

@@ -3,16 +3,16 @@
 Object-per-peer storage dominates memory once populations reach paper
 scale (Section 5 crawls cover 5k-200k bots, each holding up to 1000
 peer entries).  This module keeps the hot per-peer scalars in flat
-parallel arrays instead:
+columns instead:
 
-* :class:`PeerSlab` -- one population-wide arena of peer-entry columns
-  (id, endpoint, last_seen, failures, goodcount) with a free-slot list,
-  shared by every bot's peer list;
 * :class:`SlabPeerList` -- a drop-in replacement for
-  :class:`repro.botnets.base.PeerList` whose per-bot state is just an
-  insertion-ordered ``{bot_id: slot}`` dict plus a subnet index;
-* :class:`SlabPeerEntry` -- a two-word flyweight view over one slot,
+  :class:`repro.botnets.base.PeerList` that owns one column per field
+  (ID ints, endpoints, subnet keys, last_seen, failures, goodcount)
+  and indexes them with one insertion-ordered ``{bot_id: slot}`` dict;
+* :class:`SlabPeerEntry` -- a flyweight view over one list slot,
   duck-typed like :class:`repro.botnets.base.PeerEntry`;
+* :class:`PeerSlab` -- what a population's lists share: its ID table,
+  its subnet-key intern table and a count of live slots;
 * :class:`PopulationState` -- the per-population registry tying node
   indices to an online-flag bytearray and the shared slab.
 
@@ -44,78 +44,39 @@ from repro.net.transport import Endpoint
 #: table is.
 SUBNET_KEYS_MAX = 1 << 17
 
+#: Key-column value of a freed slot.  Subnet keys are ``ip & mask``,
+#: never negative, so the filter's ``key in keys`` scan skips holes.
+_HOLE = -1
+
 
 class PeerSlab:
-    """Arena of peer-entry columns shared by a population's peer lists.
-
-    Slots are recycled through a free list, so steady-state churn in
-    peer lists allocates no new storage.  Columns grow by appending,
-    i.e. geometrically via list/array over-allocation.
+    """What a population's peer lists share: ID and subnet-key objects,
+    and a count of their live slots.
 
     ``id_table`` holds one ``(bot_id, id_int)`` row per population bot,
-    filled by :meth:`PopulationState.adopt`.  :meth:`alloc` stores a
-    known bot's row objects instead of the caller's, so every slot
-    naming that bot, in any bot's peer list, shares one ``bytes`` and
-    one ``int`` (a decoded peer entry is a fresh slice each time).  IDs
-    outside the population -- sensors, crawlers, junk -- keep private
-    copies and never enter the table, so it stays one row per bot.
+    filled by :meth:`PopulationState.adopt`.  :meth:`SlabPeerList.add`
+    stores a known bot's row objects instead of the caller's, so every
+    slot naming that bot, in any bot's peer list, shares one ``bytes``
+    and one ``int`` (a decoded peer entry is a fresh slice each time).
+    IDs outside the population -- sensors, crawlers, junk -- keep
+    private copies and never enter the table, so it stays one row per
+    bot.
 
-    ``subnet_keys`` interns the subnet keys that the peer lists' filter
-    indexes store (:meth:`intern_subnet`): ``ip & mask`` makes a fresh
-    ``int`` per call, so without it every slot held its own key object,
-    while a population has only a few thousand networks.
+    ``subnet_keys`` interns the subnet keys that the lists' key columns
+    store (:meth:`intern_subnet`): ``ip & mask`` makes a fresh ``int``
+    per call, so without it every slot held its own key object, while a
+    population has only a few thousand networks.
     """
 
-    __slots__ = (
-        "ids", "id_ints", "endpoints", "last_seen", "failures", "goodcount", "id_table",
-        "subnet_keys", "_free",
-    )
+    __slots__ = ("id_table", "subnet_keys", "live")
 
     def __init__(self) -> None:
-        self.ids: List[bytes] = []
-        # Big-endian integer form of each id, precomputed so XOR-metric
-        # peer selection never re-parses the 20-byte ids.
-        self.id_ints: List[int] = []
-        self.endpoints: list = []
-        self.last_seen = array("d")
-        self.failures = array("i")
-        self.goodcount = array("i")
         self.id_table: Dict[bytes, Tuple[bytes, int]] = {}
         self.subnet_keys: Dict[int, int] = {}
-        self._free: List[int] = []
+        self.live = 0
 
     def __len__(self) -> int:
-        return len(self.ids) - len(self._free)
-
-    @property
-    def capacity(self) -> int:
-        """Total slots ever allocated (live + free)."""
-        return len(self.ids)
-
-    def alloc(self, bot_id: bytes, endpoint, last_seen: float, failures: int, goodcount: int) -> int:
-        row = self.id_table.get(bot_id)
-        if row is None:
-            id_int = int.from_bytes(bot_id, "big")
-        else:
-            bot_id, id_int = row
-        free = self._free
-        if free:
-            slot = free.pop()
-            self.ids[slot] = bot_id
-            self.id_ints[slot] = id_int
-            self.endpoints[slot] = endpoint
-            self.last_seen[slot] = last_seen
-            self.failures[slot] = failures
-            self.goodcount[slot] = goodcount
-            return slot
-        slot = len(self.ids)
-        self.ids.append(bot_id)
-        self.id_ints.append(id_int)
-        self.endpoints.append(endpoint)
-        self.last_seen.append(last_seen)
-        self.failures.append(failures)
-        self.goodcount.append(goodcount)
-        return slot
+        return self.live
 
     def intern_subnet(self, key: int) -> int:
         """The table's one ``int`` equal to ``key``, entered on first
@@ -128,58 +89,47 @@ class PeerSlab:
             table[key] = shared = key
         return shared
 
-    def release(self, slot: int) -> None:
-        # Drop object refs so freed peers do not pin ids/endpoints.
-        self.ids[slot] = b""
-        self.id_ints[slot] = 0
-        self.endpoints[slot] = None
-        self._free.append(slot)
-
 
 class SlabPeerEntry:
-    """Flyweight view of one slab slot; duck-typed like ``PeerEntry``."""
+    """View of one peer-list slot, duck-typed like ``PeerEntry``.
 
-    __slots__ = ("_slab", "_slot")
+    Valid until its entry leaves the list: the slot may then hold
+    another peer."""
 
-    def __init__(self, slab: PeerSlab, slot: int) -> None:
-        self._slab = slab
+    __slots__ = ("_list", "_slot", "bot_id")
+
+    def __init__(self, peer_list: "SlabPeerList", slot: int, bot_id: bytes) -> None:
+        self._list = peer_list
         self._slot = slot
-
-    @property
-    def bot_id(self) -> bytes:
-        return self._slab.ids[self._slot]
+        self.bot_id = bot_id
 
     @property
     def endpoint(self):
-        return self._slab.endpoints[self._slot]
-
-    @endpoint.setter
-    def endpoint(self, value) -> None:
-        self._slab.endpoints[self._slot] = value
+        return self._list._endpoints[self._slot]
 
     @property
     def last_seen(self) -> float:
-        return self._slab.last_seen[self._slot]
+        return self._list._last_seen[self._slot]
 
     @last_seen.setter
     def last_seen(self, value: float) -> None:
-        self._slab.last_seen[self._slot] = value
+        self._list._last_seen[self._slot] = value
 
     @property
     def failures(self) -> int:
-        return self._slab.failures[self._slot]
+        return self._list._failures[self._slot]
 
     @failures.setter
     def failures(self, value: int) -> None:
-        self._slab.failures[self._slot] = value
+        self._list._failures[self._slot] = value
 
     @property
     def goodcount(self) -> int:
-        return self._slab.goodcount[self._slot]
+        return self._list._goodcount[self._slot]
 
     @goodcount.setter
     def goodcount(self, value: int) -> None:
-        self._slab.goodcount[self._slot] = value
+        self._list._goodcount[self._slot] = value
 
     def __repr__(self) -> str:  # debugging aid
         return (
@@ -190,17 +140,26 @@ class SlabPeerEntry:
 
 
 class SlabPeerList:
-    """Slab-backed peer list; API- and behaviour-compatible with
+    """Column-backed peer list; API- and behaviour-compatible with
     :class:`repro.botnets.base.PeerList`.
 
-    Per-bot state is one insertion-ordered ``{bot_id: slot}`` dict (the
-    iteration-order contract every family relies on) plus the optional
-    ``{subnet_key: slot}`` filter index.  Both dicts hold the same slot
-    ``int`` object, and the index keys come from the slab's
-    ``subnet_keys`` table, so all slots in one network share one key.
+    The list owns its columns, and one insertion-ordered
+    ``{bot_id: slot}`` dict (the iteration-order contract every family
+    relies on) maps each peer to its slot.  A slot is always below
+    ``capacity``: columns grow only while no slot is free, and a full
+    list's newcomer takes the evicted entry's slot.  So a Zeus list's
+    slots (capacity 150) are all CPython's cached small ints.
+
+    The subnet filter keeps one interned key per slot in ``_keys``
+    (holes hold :data:`_HOLE`), and tests a newcomer with a C-level
+    ``key in keys`` scan: only new IDs and address changes pay for it.
+    A freed slot is reused through ``_free``, made on the first removal.
     """
 
-    __slots__ = ("capacity", "ip_filter_prefix", "_slab", "_slots", "_subnets")
+    __slots__ = (
+        "capacity", "ip_filter_prefix", "_slab", "_index", "_id_ints", "_endpoints", "_keys",
+        "_last_seen", "_failures", "_goodcount", "_free",
+    )
 
     def __init__(self, capacity: int, ip_filter_prefix: Optional[int], slab: PeerSlab) -> None:
         if capacity <= 0:
@@ -210,74 +169,75 @@ class SlabPeerList:
         self.capacity = capacity
         self.ip_filter_prefix = ip_filter_prefix
         self._slab = slab
-        self._slots: Dict[bytes, int] = {}
-        self._subnets: Optional[Dict[int, int]] = (
-            {} if ip_filter_prefix is not None else None
-        )
+        self._index: Dict[bytes, int] = {}
+        # Big-endian integer form of each id, so XOR-metric peer
+        # selection never re-parses the 20-byte ids.
+        self._id_ints: List[int] = []
+        self._endpoints: List[Optional[Endpoint]] = []
+        self._keys: Optional[List[int]] = [] if ip_filter_prefix is not None else None
+        self._last_seen = array("d")
+        self._failures = array("i")
+        self._goodcount = array("i")
+        self._free: Optional[List[int]] = None
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self._index)
 
     def __contains__(self, bot_id: bytes) -> bool:
-        return bot_id in self._slots
+        return bot_id in self._index
 
     def __iter__(self) -> Iterator[SlabPeerEntry]:
         return iter(self.entries())
 
     def get(self, bot_id: bytes) -> Optional[SlabPeerEntry]:
-        slot = self._slots.get(bot_id)
+        slot = self._index.get(bot_id)
         if slot is None:
             return None
-        return SlabPeerEntry(self._slab, slot)
+        return SlabPeerEntry(self, slot, bot_id)
 
     def entries(self) -> List[SlabPeerEntry]:
-        slab = self._slab
-        return [SlabPeerEntry(slab, slot) for slot in self._slots.values()]
+        return [SlabPeerEntry(self, slot, bot_id) for bot_id, slot in self._index.items()]
 
     def ids(self) -> Set[bytes]:
-        return set(self._slots)
+        return set(self._index)
 
     def ips(self) -> Set[int]:
-        endpoints = self._slab.endpoints
-        return {endpoints[slot].ip for slot in self._slots.values()}
+        endpoints = self._endpoints
+        return {endpoints[slot].ip for slot in self._index.values()}
 
     def maintenance_view(self) -> list:
         """(bot_id, endpoint, failures) tuples sorted by last_seen.
 
         Same ordering contract as ``PeerList.maintenance_view``: stable
         sort over insertion order, so same-time entries keep their
-        relative positions.  Built straight from the slab columns --
-        no flyweights on the cycle hot path.
+        relative positions.  Built straight from the columns -- no
+        flyweights on the cycle hot path.
         """
-        slab = self._slab
-        last_seen = slab.last_seen
-        order = sorted(self._slots.values(), key=last_seen.__getitem__)
-        ids = slab.ids
-        endpoints = slab.endpoints
-        failures = slab.failures
-        return [(ids[slot], endpoints[slot], failures[slot]) for slot in order]
+        last_seen = self._last_seen
+        order = sorted(self._index.items(), key=lambda item: last_seen[item[1]])
+        endpoints = self._endpoints
+        failures = self._failures
+        return [(bot_id, endpoints[slot], failures[slot]) for bot_id, slot in order]
 
     def closest(self, lookup_key: bytes, exclude_id: bytes, limit: int) -> list:
         """The ``limit`` (bot_id, endpoint) pairs XOR-closest to
         ``lookup_key``, excluding ``exclude_id``.
 
         Matches ``PeerList.closest`` / ``protocol.select_closest``
-        exactly; distances come from the slab's precomputed id
-        integers instead of per-call ``int.from_bytes``.
+        exactly; distances come from the precomputed id integers
+        instead of per-call ``int.from_bytes``.
         """
         key_int = int.from_bytes(lookup_key, "big")
-        slab = self._slab
-        ids = slab.ids
-        id_ints = slab.id_ints
+        id_ints = self._id_ints
+        endpoints = self._endpoints
         ranked = sorted(
             [
-                (key_int ^ id_ints[slot], slot)
-                for bot_id, slot in self._slots.items()
+                (key_int ^ id_ints[slot], bot_id, slot)
+                for bot_id, slot in self._index.items()
                 if bot_id != exclude_id
             ]
         )
-        endpoints = slab.endpoints
-        return [(ids[slot], endpoints[slot]) for _, slot in ranked[:limit]]
+        return [(bot_id, endpoints[slot]) for _, bot_id, slot in ranked[:limit]]
 
     def propagation_candidates(self, min_goodcount: int, exclude_ip: int, exclude_id: bytes) -> list:
         """(bot_id, endpoint, goodcount) rows, in insertion order, of
@@ -285,80 +245,91 @@ class SlabPeerList:
         at ``exclude_ip`` nor ``exclude_id``.
 
         Matches ``PeerList.propagation_candidates``; read straight from
-        the slab columns, so a Sality reply builds no flyweights.
+        the columns, so a Sality reply builds no flyweights.
         """
-        slab = self._slab
-        goodcount = slab.goodcount
-        endpoints = slab.endpoints
+        goodcount = self._goodcount
+        endpoints = self._endpoints
         return [
             (bot_id, endpoint, count)
-            for bot_id, slot in self._slots.items()
+            for bot_id, slot in self._index.items()
             if (count := goodcount[slot]) >= min_goodcount
             and (endpoint := endpoints[slot]).ip != exclude_ip
             and bot_id != exclude_id
         ]
 
-    def _conflict_slot(self, bot_id: bytes, ip: int) -> Optional[int]:
-        if self._subnets is None:
-            return None
-        occupant = self._subnets.get(subnet_key(ip, self.ip_filter_prefix))
-        if occupant is None or self._slab.ids[occupant] == bot_id:
-            return None
-        return occupant
-
-    def _index_add(self, slot: int, ip: int) -> None:
-        if self._subnets is not None:
-            key = self._slab.intern_subnet(subnet_key(ip, self.ip_filter_prefix))
-            self._subnets[key] = slot
-
-    def _index_drop(self, ip: int) -> None:
-        if self._subnets is not None:
-            self._subnets.pop(subnet_key(ip, self.ip_filter_prefix), None)
-
     def add(self, entry) -> bool:
         """Insert or refresh; same rules (and tie-breaks) as PeerList."""
-        slab = self._slab
         bot_id = entry.bot_id
-        slot = self._slots.get(bot_id)
+        endpoint = entry.endpoint
+        index = self._index
+        last_seen = self._last_seen
+        slab = self._slab
+        slot = index.get(bot_id)
         if slot is not None:
-            old_endpoint = slab.endpoints[slot]
-            new_endpoint = entry.endpoint
-            if old_endpoint != new_endpoint:
-                if self._conflict_slot(bot_id, new_endpoint.ip) is not None:
-                    # Address update into an occupied subnet: rejected,
-                    # the entry stays alive at its old address.
-                    if entry.last_seen > slab.last_seen[slot]:
-                        slab.last_seen[slot] = entry.last_seen
-                    return True
-                self._index_drop(old_endpoint.ip)
-                slab.endpoints[slot] = new_endpoint
-                self._index_add(slot, new_endpoint.ip)
-            if entry.last_seen > slab.last_seen[slot]:
-                slab.last_seen[slot] = entry.last_seen
+            if self._endpoints[slot] != endpoint:
+                self._readdress(slot, endpoint)
+            if entry.last_seen > last_seen[slot]:
+                last_seen[slot] = entry.last_seen
             return True
-        if self._conflict_slot(bot_id, entry.endpoint.ip) is not None:
-            return False
-        if len(self._slots) >= self.capacity:
-            last_seen = slab.last_seen
-            stalest_id = None
-            stalest_slot = -1
-            stalest_seen = float("inf")
-            for candidate_id, candidate_slot in self._slots.items():
-                seen = last_seen[candidate_slot]
-                if seen < stalest_seen:  # strict: keep first-encountered
-                    stalest_seen = seen
-                    stalest_id = candidate_id
-                    stalest_slot = candidate_slot
+        keys = self._keys
+        if keys is not None:
+            key = subnet_key(endpoint.ip, self.ip_filter_prefix)
+            if key in keys:
+                return False
+        if len(index) >= self.capacity:
+            # A full list has no holes, so the column minimum is the
+            # stalest entry's; ties go to the first in insertion order.
+            stalest_seen = min(last_seen)
             if stalest_seen >= entry.last_seen:
                 return False
-            del self._slots[stalest_id]
-            self._index_drop(slab.endpoints[stalest_slot].ip)
-            slab.release(stalest_slot)
-        slot = slab.alloc(bot_id, entry.endpoint, entry.last_seen, entry.failures, entry.goodcount)
-        # Key by the slab's stored id: a population bot's shared object.
-        self._slots[slab.ids[slot]] = slot
-        self._index_add(slot, entry.endpoint.ip)
+            for stalest_id, slot in index.items():
+                if last_seen[slot] == stalest_seen:
+                    break
+            del index[stalest_id]
+        else:
+            slab.live += 1
+            if self._free:
+                slot = self._free.pop()
+        row = slab.id_table.get(bot_id)
+        if row is None:
+            id_int = int.from_bytes(bot_id, "big")
+        else:
+            # Key by a population bot's shared objects.
+            bot_id, id_int = row
+        if keys is not None:
+            key = slab.intern_subnet(key)
+        if slot is None:
+            # No free slot: every column grows by one.
+            index[bot_id] = len(self._endpoints)
+            self._id_ints.append(id_int)
+            self._endpoints.append(endpoint)
+            if keys is not None:
+                keys.append(key)
+            last_seen.append(entry.last_seen)
+            self._failures.append(entry.failures)
+            self._goodcount.append(entry.goodcount)
+            return True
+        index[bot_id] = slot
+        self._id_ints[slot] = id_int
+        self._endpoints[slot] = endpoint
+        if keys is not None:
+            keys[slot] = key
+        last_seen[slot] = entry.last_seen
+        self._failures[slot] = entry.failures
+        self._goodcount[slot] = entry.goodcount
         return True
+
+    def _readdress(self, slot: int, endpoint: Endpoint) -> None:
+        """Move ``slot`` to ``endpoint``, unless another entry holds its
+        subnet: then the entry stays alive at its old address."""
+        keys = self._keys
+        if keys is not None:
+            key = subnet_key(endpoint.ip, self.ip_filter_prefix)
+            if key != keys[slot]:
+                if key in keys:
+                    return
+                keys[slot] = self._slab.intern_subnet(key)
+        self._endpoints[slot] = endpoint
 
     def seed(self, rows: Iterable[Tuple[bytes, Endpoint]], last_seen: float, goodcount: int = 0) -> None:
         """Add each ``(bot_id, endpoint)`` row in order, as
@@ -368,32 +339,41 @@ class SlabPeerList:
         for bot_id, endpoint in rows:
             add(PeerEntry(bot_id, endpoint, last_seen, 0, goodcount))
 
+    def _release(self, slot: int) -> None:
+        """Free the slot of an entry just dropped from the index."""
+        # Drop object refs so freed peers do not pin ids/endpoints.
+        self._id_ints[slot] = 0
+        self._endpoints[slot] = None
+        if self._keys is not None:
+            self._keys[slot] = _HOLE
+        if self._free is None:
+            self._free = [slot]
+        else:
+            self._free.append(slot)
+        self._slab.live -= 1
+
     def remove(self, bot_id: bytes) -> bool:
-        slot = self._slots.pop(bot_id, None)
+        slot = self._index.pop(bot_id, None)
         if slot is None:
             return False
-        self._index_drop(self._slab.endpoints[slot].ip)
-        self._slab.release(slot)
+        self._release(slot)
         return True
 
     def touch(self, bot_id: bytes, now: float) -> None:
-        slot = self._slots.get(bot_id)
+        slot = self._index.get(bot_id)
         if slot is not None:
-            slab = self._slab
-            slab.last_seen[slot] = now
-            slab.failures[slot] = 0
+            self._last_seen[slot] = now
+            self._failures[slot] = 0
 
     def record_failure(self, bot_id: bytes, evict_after: int) -> bool:
-        slot = self._slots.get(bot_id)
+        slot = self._index.get(bot_id)
         if slot is None:
             return False
-        slab = self._slab
-        failures = slab.failures[slot] + 1
-        slab.failures[slot] = failures
+        failures = self._failures[slot] + 1
+        self._failures[slot] = failures
         if failures >= evict_after:
-            del self._slots[bot_id]
-            self._index_drop(slab.endpoints[slot].ip)
-            slab.release(slot)
+            del self._index[bot_id]
+            self._release(slot)
             return True
         return False
 
@@ -448,5 +428,4 @@ class PopulationState:
             "nodes": len(self.node_ids),
             "online": self.online_count(),
             "peer_slots_live": len(self.slab),
-            "peer_slots_allocated": self.slab.capacity,
         }

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.sim.clock import DAY, HOUR
 from repro.sim.scheduler import Scheduler, Timer
@@ -205,8 +205,13 @@ class IpChurnProcess(_DeadlineHeap):
         self.mean_lease = mean_lease
         self.reassignments = 0
         self._managed: List[str] = []
+        self._members: Set[str] = set()
 
     def add_node(self, node_id: str) -> None:
+        """Start a node's lease cycle; a node holds one lease at a time."""
+        if node_id in self._members:
+            raise ValueError(f"node already managed: {node_id}")
+        self._members.add(node_id)
         index = len(self._managed)
         self._managed.append(node_id)
         self._retime(self._arm(index))

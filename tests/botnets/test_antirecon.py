@@ -66,6 +66,24 @@ class TestAutoBlacklister:
             for bot in range(4):
                 assert not abl.record(IP, cycle * 1800.0 + bot * 2.0)
 
+    def test_block_in_one_leaves_others_clean(self):
+        """Instances share one empty ``blocked`` until their first block,
+        which gives that instance a set of its own."""
+        blocking = AutoBlacklister(window=60.0, max_requests=1)
+        bystander = AutoBlacklister(window=60.0, max_requests=1)
+        assert blocking.blocked is bystander.blocked
+        blocking.record(IP, 0.0)
+        assert blocking.record(IP, 0.1)
+        assert blocking.is_blocked(IP)
+        assert blocking.blocked == {IP}
+        assert not bystander.is_blocked(IP)
+        assert not bystander.record(IP, 0.2)
+        assert not AutoBlacklister._NONE_BLOCKED
+        assert bystander.blocked is AutoBlacklister._NONE_BLOCKED
+        assert bystander.record(IP, 0.3)
+        assert blocking.blocked is not bystander.blocked
+        assert not AutoBlacklister._NONE_BLOCKED
+
     def test_validation(self):
         with pytest.raises(ValueError):
             AutoBlacklister(window=0)

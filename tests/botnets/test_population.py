@@ -184,8 +184,9 @@ class TestBootstrapPicks:
 
 
 class TestSharedPeerIds:
-    """Peer slots naming a population bot share that bot's own ID
-    objects; the ID table holds one row per bot and nothing else."""
+    """Peer-list entries naming a population bot store that bot's own ID
+    objects, as index key and ID int; the ID table holds one row per bot
+    and nothing else."""
 
     @pytest.mark.parametrize(
         "network, config, junk",
@@ -209,9 +210,9 @@ class TestSharedPeerIds:
             assert row[1] == int.from_bytes(bot.bot_id, "big")
         shared = outside = 0
         for bot in net.bots.values():
-            for key, slot in bot.peer_list._slots.items():
-                assert slab.ids[slot] is key
-                assert slab.id_ints[slot] == int.from_bytes(key, "big")
+            peer_list = bot.peer_list
+            for key, slot in peer_list._index.items():
+                assert peer_list._id_ints[slot] == int.from_bytes(key, "big")
                 owner = net.bots_by_bot_id.get(key)
                 if owner is None:
                     outside += 1
@@ -219,15 +220,16 @@ class TestSharedPeerIds:
                     continue
                 shared += 1
                 assert key is owner.bot_id
-                assert slab.id_ints[slot] is table[key][1]
+                assert peer_list._id_ints[slot] is table[key][1]
         assert shared > len(net.bots)
         if junk:
             assert outside > 0  # the junk entries really arrived
 
 
 class TestSlabPeerLists:
-    """A population's bots build their lists on its slab, and the
-    lists' subnet indexes share one key object per network."""
+    """A population's bots build their lists on its slab, the lists'
+    key columns share one key object per network, and every slot is
+    below its list's capacity."""
 
     @pytest.mark.parametrize(
         "network, config, junk",
@@ -251,13 +253,15 @@ class TestSlabPeerLists:
             peer_list = bot.peer_list
             assert type(peer_list) is SlabPeerList
             assert peer_list._slab is slab
-            for key, slot in peer_list._subnets.items():
+            assert len(peer_list._keys) <= peer_list.capacity
+            for slot in peer_list._index.values():
                 entries += 1
+                assert slot < peer_list.capacity
+                key = peer_list._keys[slot]
+                assert key == subnet_key(peer_list._endpoints[slot].ip, peer_list.ip_filter_prefix)
                 assert keys.setdefault(key, key) is key  # one object per network
                 assert table[key] is key
-                # _slots and _subnets hold the one slot int.
-                assert peer_list._slots[slab.ids[slot]] is slot
-        assert entries > len(net.bots) > len(keys)
+        assert entries == len(slab) > len(net.bots) > len(keys)
 
     @pytest.mark.parametrize(
         "network, config",

@@ -47,6 +47,8 @@ operations = st.lists(
         st.tuples(st.just("record_failure"), ids, st.integers(min_value=1, max_value=4)),
         st.tuples(st.just("closest"), ids, ids, st.integers(min_value=1, max_value=8)),
         st.tuples(st.just("goodcount"), ids, goodcounts),
+        st.tuples(st.just("write"), ids, st.just("last_seen"), times),
+        st.tuples(st.just("write"), ids, st.just("failures"), st.integers(min_value=0, max_value=3)),
         st.tuples(
             st.just("propagation_candidates"),
             st.integers(min_value=-2, max_value=3),
@@ -82,6 +84,12 @@ def _apply(peer_list, op):
         entry = peer_list.get(op[1])
         if entry is not None:
             entry.goodcount += op[2]
+        return None
+    if kind == "write":
+        # Any writable field, through the entry view (Sality's _credit).
+        entry = peer_list.get(op[1])
+        if entry is not None:
+            setattr(entry, op[2], op[3])
         return None
     if kind == "propagation_candidates":
         # The excluded requester's IP and id are an entry's, by position
@@ -136,6 +144,119 @@ class TestPeerListBackendEquivalence:
         assert _snapshot(bystander) == before
 
 
+# -- lists at the families' capacities -------------------------------------
+#
+# Bootstrap rows fill a list to within a few slots of its capacity: row
+# k is peer ``_peer(k)`` at ``_address(k)``, a subnet of its own.  Ops
+# name peers and subnets by small ints, k >= 0 for row k's and k < 0 for
+# ones outside the rows.  Times are whole numbers, so eviction meets
+# ties on equal last_seen.
+
+
+def _peer(k):
+    n = k if k >= 0 else 5000 - k
+    return n.to_bytes(2, "big") * 10
+
+
+def _address(net, host=1, port=4000):
+    """Host 2 shares host 1's /20 but not its /32."""
+    n = net if net >= 0 else 5000 - net
+    return Endpoint((10 << 24) | (n << 12) | host, port)
+
+
+peers = st.integers(min_value=-6, max_value=10).map(_peer)
+addresses = st.builds(
+    _address,
+    st.integers(min_value=-6, max_value=10),
+    st.sampled_from([1, 2]),
+    st.sampled_from([4000, 4001]),
+)
+ticks = st.integers(min_value=0, max_value=4).map(float)
+counts = st.integers(min_value=0, max_value=4)
+
+family_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), peers, addresses, ticks),
+        st.tuples(st.just("remove"), peers),
+        st.tuples(st.just("touch"), peers, ticks),
+        st.tuples(st.just("record_failure"), peers, st.integers(min_value=1, max_value=3)),
+        st.tuples(st.just("write"), peers, st.just("last_seen"), ticks),
+        st.tuples(st.just("write"), peers, st.sampled_from(["failures", "goodcount"]), counts),
+        st.tuples(st.just("closest"), peers, peers, st.integers(min_value=1, max_value=12)),
+        st.tuples(
+            st.just("propagation_candidates"),
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=0, max_value=7),
+            st.integers(min_value=0, max_value=7),
+        ),
+    ),
+    max_size=80,
+)
+
+
+class TestFamilyCapacities:
+    """The two backends agree on lists at Zeus's (150, /20) and
+    Sality's (1,000, /32) capacity and filter, bootstrapped to within
+    ``gap`` slots of full."""
+
+    @pytest.mark.parametrize("capacity, prefix", [(150, 20), (1000, 32)], ids=["zeus", "sality"])
+    @given(gap=st.integers(min_value=0, max_value=3), start=ticks, goodcount=counts, ops=family_operations)
+    @example(  # a freed slot is reused by a peer that iterates last
+        gap=2, start=1.0, goodcount=0,
+        ops=[("remove", _peer(0)), ("add", _peer(-1), _address(-1), 2.0), ("touch", _peer(1), 3.0)],
+    )
+    @example(  # eviction tie: the first stalest in insertion order goes, not the lowest slot
+        gap=0, start=1.0, goodcount=0,
+        ops=[
+            ("remove", _peer(2)),
+            ("add", _peer(-1), _address(-1), 1.0),
+            ("touch", _peer(0), 2.0),
+            ("touch", _peer(1), 2.0),
+            ("add", _peer(-2), _address(-2), 3.0),
+            ("add", _peer(-3), _address(-3), 3.0),
+            ("add", _peer(-4), _address(-4), 1.0),
+        ],
+    )
+    @example(  # address updates: within a subnet, into an occupied one, back, into a freed one
+        gap=1, start=1.0, goodcount=1,
+        ops=[
+            ("add", _peer(3), _address(3, host=2), 2.0),
+            ("add", _peer(3), _address(4), 3.0),
+            ("add", _peer(3), _address(3, port=4001), 3.0),
+            ("remove", _peer(5)),
+            ("add", _peer(3), _address(5), 4.0),
+            ("add", _peer(-1), _address(3), 4.0),
+            ("add", _peer(-2), _address(5), 4.0),
+            ("propagation_candidates", 1, 3, 0),
+        ],
+    )
+    @example(  # writes through get() views, read back by every view
+        gap=0, start=2.0, goodcount=0,
+        ops=[
+            ("write", _peer(1), "last_seen", 0.0),
+            ("write", _peer(2), "goodcount", 2),
+            ("propagation_candidates", 2, 0, 1),
+            ("write", _peer(4), "failures", 2),
+            ("record_failure", _peer(4), 3),
+            ("write", _peer(6), "last_seen", 1.0),
+            ("add", _peer(-1), _address(-1), 1.0),
+            ("closest", _peer(7), _peer(8), 12),
+        ],
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_same_ops_same_results(self, capacity, prefix, gap, start, goodcount, ops):
+        rows = [(_peer(k), _address(k)) for k in range(capacity - gap)]
+        objects = PeerList(capacity=capacity, ip_filter_prefix=prefix)
+        slab = SlabPeerList(capacity=capacity, ip_filter_prefix=prefix, slab=PeerSlab())
+        objects.seed(rows, start, goodcount)
+        slab.seed(rows, start, goodcount)
+        assert _snapshot(objects) == _snapshot(slab)
+        for op in ops:
+            assert _apply(objects, op) == _apply(slab, op)
+            assert _snapshot(objects) == _snapshot(slab)
+            assert len(slab._slab) == len(slab)
+
+
 A, B, C, D = (bytes([n]) * 20 for n in (0xA1, 0xB2, 0xC3, 0xD4))
 # NET_1 and NET_1_OTHER share a /20, not an IP.
 NET_1 = Endpoint(0x0A000100, 4000)
@@ -144,21 +265,21 @@ NET_2 = Endpoint(0x0B000100, 4000)
 
 
 def _slab_list(prefix, freed):
-    """A capacity-6 slab list whose slab holds ``freed`` free slots, so
-    new rows take recycled slots first."""
-    slab = PeerSlab()
-    churned = SlabPeerList(capacity=8, ip_filter_prefix=None, slab=slab)
-    for index in range(freed):
-        churned.add(PeerEntry(bot_id=bytes([index]) * 20, endpoint=NET_2, last_seen=0.0))
-    for index in range(freed):
-        churned.remove(bytes([index]) * 20)
-    return SlabPeerList(capacity=6, ip_filter_prefix=prefix, slab=slab)
+    """A capacity-6 slab list holding ``freed`` free slots, so new rows
+    take recycled slots first."""
+    peer_list = SlabPeerList(capacity=6, ip_filter_prefix=prefix, slab=PeerSlab())
+    fillers = [bytes([0xF0 + index]) * 20 for index in range(freed)]
+    for index, bot_id in enumerate(fillers):
+        peer_list.add(PeerEntry(bot_id=bot_id, endpoint=Endpoint((0xF0 + index) << 24, 4000), last_seen=0.0))
+    for bot_id in fillers:
+        peer_list.remove(bot_id)
+    return peer_list
 
 
 class TestSeed:
     """``seed(rows, t, g)`` is ``add(PeerEntry(id, ep, t, 0, g))`` per
-    row, in order, on both backends, and on the slab it takes the
-    same slots."""
+    row, in order, on both backends, and on the slab it writes the
+    same slots and columns."""
 
     @pytest.mark.parametrize("backend", ["objects", "slab"])
     @pytest.mark.parametrize("prefix", [None, 20, 32])
@@ -204,30 +325,38 @@ class TestSeed:
             reference.add(PeerEntry(bot_id, endpoint, last_seen, 0, goodcount))
         assert _snapshot(seeded) == _snapshot(reference)
         if backend == "slab":
-            assert seeded._slots == reference._slots  # same slots, same order
-            assert seeded._subnets == reference._subnets
-            assert seeded._slab._free == reference._slab._free
-            assert seeded._slab.capacity == reference._slab.capacity
-            for column in ("ids", "id_ints", "endpoints", "last_seen", "failures", "goodcount"):
-                values, expected = getattr(seeded._slab, column), getattr(reference._slab, column)
-                assert [values[slot] for slot in seeded._slots.values()] == [
-                    expected[slot] for slot in reference._slots.values()
-                ]
+            # Same slots, in the same order, and every column equal,
+            # holes and free list included.
+            assert list(seeded._index.items()) == list(reference._index.items())
+            for column in ("_id_ints", "_endpoints", "_keys", "_last_seen", "_failures", "_goodcount", "_free"):
+                assert getattr(seeded, column) == getattr(reference, column)
+            assert len(seeded._slab) == len(reference._slab) == len(seeded)
 
     def test_slots_and_subnets_share_slot_ints(self):
-        """Past the small-int cache, each slot int is one object held by
-        both dicts, and every subnet key is the slab table's object."""
+        """Every slot stays below capacity, through bootstrap, eviction
+        and removals, so a Zeus list's slots are CPython's cached small
+        ints; every stored subnet key is the slab table's object, and a
+        hole's key is the sentinel."""
         slab = PeerSlab()
-        filler = SlabPeerList(capacity=300, ip_filter_prefix=None, slab=slab)
-        filler.seed([(n.to_bytes(20, "big"), NET_2) for n in range(300)], 0.0)
         peer_list = SlabPeerList(capacity=150, ip_filter_prefix=20, slab=slab)
-        peer_list.seed([(n.to_bytes(20, "big"), Endpoint(n << 12, 4000)) for n in range(1, 100)], 1.0)
-        peer_list.add(PeerEntry(bot_id=b"\xEE" * 20, endpoint=Endpoint(200 << 12, 4000), last_seen=2.0))
-        assert len(peer_list) == 100
-        for key, slot in peer_list._subnets.items():
-            assert slot > 256
-            assert peer_list._slots[slab.ids[slot]] is slot
-            assert slab.subnet_keys[key] is key
+        peer_list.seed([(n.to_bytes(20, "big"), Endpoint(n << 12, 4000)) for n in range(1, 200)], 1.0)
+        for n in range(1, 40, 3):
+            peer_list.remove(n.to_bytes(20, "big"))
+        for n in range(300, 340):
+            peer_list.add(PeerEntry(bot_id=n.to_bytes(20, "big"), endpoint=Endpoint(n << 12, 4000), last_seen=2.0))
+        assert len(peer_list) == 150
+        assert len(peer_list._keys) == 150
+        for bot_id, slot in peer_list._index.items():
+            assert 0 <= slot < 150
+            assert slot is int(str(slot))  # the cached small int
+            assert peer_list._id_ints[slot] == int.from_bytes(bot_id, "big")
+        for slot, key in enumerate(peer_list._keys):
+            if peer_list._endpoints[slot] is None:
+                assert key == state._HOLE
+            else:
+                assert key == peer_list._endpoints[slot].ip & 0xFFFFF000
+                assert slab.subnet_keys[key] is key
+        assert len(slab) == 150
 
     def test_subnet_key_table_is_bounded(self, monkeypatch):
         """Past its cap the table starts over; filtering is unchanged."""

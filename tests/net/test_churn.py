@@ -107,6 +107,21 @@ class TestIpChurn:
         with pytest.raises(ValueError):
             IpChurnProcess(Scheduler(), random.Random(0), lambda n: None, mean_lease=0)
 
+    def test_duplicate_node_rejected(self):
+        """A second add_node for one node would give it a second lease,
+        and so twice the reassignment rate."""
+        sched = Scheduler()
+        seen = []
+        churn = IpChurnProcess(sched, random.Random(0), seen.append, mean_lease=HOUR)
+        churn.add_node("a")
+        with pytest.raises(ValueError, match="already managed"):
+            churn.add_node("a")
+        churn.add_node("b")
+        sched.run_until(30 * DAY)
+        assert churn.reassignments == len(seen)
+        counts = {node: seen.count(node) for node in ("a", "b")}
+        assert 0.7 < counts["a"] / counts["b"] < 1.4
+
 
 # -- equivalence with one scheduler timer per node ------------------------------
 
