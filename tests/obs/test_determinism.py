@@ -43,6 +43,26 @@ class TestGoldenExhibitsUnderTracing:
             result = run_sweep(spec, workers=1)
         assert render_result(result) + "\n" == _golden_text("fig3_zeus_small_sweep.txt")
 
+    def test_fig3_sality_traced_matches_untraced_golden(self):
+        import json
+
+        from repro.runner import build_sweep, render_result, run_sweep
+
+        spec = build_sweep(
+            "fig3-sality",
+            root_seed=0,
+            scale="tiny",
+            sensors=4,
+            announce_hours=1.0,
+            hours=3.0,
+            ratios=(1, 2, 4),
+        )
+        with runtime.activated(tracer=Tracer(), metrics=MetricsRegistry()):
+            result = run_sweep(spec, workers=1)
+        assert render_result(result) + "\n" == _golden_text("fig3_sality_small_sweep.txt")
+        text = json.dumps(result.values(), indent=2, sort_keys=True)
+        assert text + "\n" == _golden_text("fig3_sality_small_values.json")
+
     def test_fig2_traced_matches_untraced_golden(self):
         import json
 
