@@ -14,152 +14,43 @@ much milder Zeus degradation (paper: 74%) both reproduce.
 
 import pytest
 
-from repro.analysis.tables import render_series_figure
-from repro.core.crawler import SalityCrawler, ZeusCrawler
-from repro.core.defects import SalityDefectProfile, ZeusDefectProfile
-from repro.core.stealth import StealthPolicy
-from repro.net.address import parse_ip
-from repro.net.transport import Endpoint
-from repro.sim.clock import HOUR, MINUTE
-from repro.workloads.population import sality_config, zeus_config
-from repro.workloads.scenarios import build_sality_scenario, build_zeus_scenario
+from repro.workloads.frequency import (
+    cycle_checkpoint,
+    relative_at,
+    render_frequency_figure,
+    run_frequency_crawls,
+)
 
-ZEUS_SUSPEND = 30 * MINUTE
-SALITY_SUSPEND = 40 * MINUTE
 RUN_HOURS = 4
-
-
-def zeus_policies():
-    # Even the aggressive Zeus crawler is rate limited (~15s per
-    # target) to stay under automatic blacklisting (Section 6.2.2).
-    # Suspend-adherent crawlers also pick up NEW targets only on their
-    # cycle schedule (initial_contact_delay), not instantly.
-    return {
-        "aggressive": StealthPolicy(per_target_interval=15.0, requests_per_target=96),
-        "half": StealthPolicy(
-            per_target_interval=ZEUS_SUSPEND / 2,
-            requests_per_target=16,
-            initial_contact_delay=ZEUS_SUSPEND / 2,
-        ),
-        "full": StealthPolicy(
-            per_target_interval=ZEUS_SUSPEND,
-            requests_per_target=8,
-            initial_contact_delay=ZEUS_SUSPEND,
-        ),
-    }
-
-
-def sality_policies():
-    # No auto-blacklisting in Sality: aggressive crawlers burst freely.
-    return {
-        "aggressive": StealthPolicy(per_target_interval=6 * MINUTE, requests_per_target=240),
-        "half": StealthPolicy(
-            per_target_interval=SALITY_SUSPEND / 2,
-            requests_per_target=72,
-            initial_contact_delay=SALITY_SUSPEND / 2,
-        ),
-        "full": StealthPolicy(
-            per_target_interval=SALITY_SUSPEND,
-            requests_per_target=36,
-            initial_contact_delay=SALITY_SUSPEND,
-        ),
-    }
+CHECKPOINT_CYCLES = 2.0
 
 
 @pytest.fixture(scope="module")
 def zeus_frequency_crawls():
-    scenario = build_zeus_scenario(
-        zeus_config("medium", master_seed=31), sensor_count=8, announce_hours=2.0
+    return run_frequency_crawls(
+        "zeus", scale="medium", master_seed=31, sensor_count=8, announce_hours=2.0, hours=RUN_HOURS
     )
-    net = scenario.net
-    crawlers = {}
-    for index, (label, policy) in enumerate(zeus_policies().items()):
-        crawler = ZeusCrawler(
-            name=label,
-            endpoint=Endpoint(parse_ip(f"99.{index}.0.1"), 7000),
-            transport=net.transport,
-            scheduler=net.scheduler,
-            rng=net.rngs.fork(f"zfc-{label}").stream("crawl"),
-            policy=policy,
-            profile=ZeusDefectProfile(name=label),
-        )
-        crawler.start(net.bootstrap_sample(3, seed=70 + index))
-        crawlers[label] = crawler
-    scenario.run_for(RUN_HOURS * HOUR)
-    return scenario, crawlers
 
 
 @pytest.fixture(scope="module")
 def sality_frequency_crawls():
-    scenario = build_sality_scenario(
-        sality_config("medium", master_seed=32), sensor_count=8, announce_hours=2.0
+    return run_frequency_crawls(
+        "sality", scale="medium", master_seed=32, sensor_count=8, announce_hours=2.0, hours=RUN_HOURS
     )
-    net = scenario.net
-    crawlers = {}
-    for index, (label, policy) in enumerate(sality_policies().items()):
-        crawler = SalityCrawler(
-            name=label,
-            endpoint=Endpoint(parse_ip(f"99.{index}.0.1"), 7000),
-            transport=net.transport,
-            scheduler=net.scheduler,
-            rng=net.rngs.fork(f"sfc-{label}").stream("crawl"),
-            policy=policy,
-            profile=SalityDefectProfile(name=label),
-        )
-        crawler.start(net.bootstrap_sample(3, seed=80 + index))
-        crawlers[label] = crawler
-    scenario.run_for(RUN_HOURS * HOUR)
-    return scenario, crawlers
-
-
-def cycle_checkpoint(scenario, suspend_cycle, cycles=1.0):
-    """The comparison instant: ``cycles`` suspend cycles into the
-    measurement window.  By then the aggressive crawl has long
-    converged while a fully adherent crawler has completed exactly
-    ``cycles`` request rounds -- the paper's 24h window compressed to
-    simulator scale (EXPERIMENTS.md)."""
-    return scenario.measurement_start + suspend_cycle * cycles
-
-
-def relative_at(crawlers, when):
-    base = max(1, crawlers["aggressive"].report.ips_found_by(when))
-    return {
-        label: crawler.report.ips_found_by(when) / base
-        for label, crawler in crawlers.items()
-    }
-
-
-def _render(title, scenario, crawlers, checkpoint, relative):
-    until = scenario.net.scheduler.now
-    series = {
-        label: crawler.report.coverage_series(until=until, bucket=15 * MINUTE)
-        for label, crawler in crawlers.items()
-    }
-    text = render_series_figure(title, series)
-    offset = checkpoint - scenario.measurement_start
-    text += (
-        f"\n\nrelative coverage at the +{offset / MINUTE:.0f} min checkpoint "
-        f"({CHECKPOINT_CYCLES:g} suspend cycles): "
-        + "  ".join(f"{label}={value * 100:.0f}%" for label, value in relative.items())
-    )
-    return text
-
-
-CHECKPOINT_CYCLES = 2.0
 
 
 def test_fig4a_zeus_frequency(benchmark, zeus_frequency_crawls, exhibit_writer):
     scenario, crawlers = zeus_frequency_crawls
 
-    def analyze():
-        when = cycle_checkpoint(scenario, ZEUS_SUSPEND, CHECKPOINT_CYCLES)
-        return when, relative_at(crawlers, when)
-
-    checkpoint, relative = benchmark(analyze)
+    relative = benchmark(
+        lambda: relative_at(crawlers, cycle_checkpoint(scenario, "zeus", CHECKPOINT_CYCLES))
+    )
     exhibit_writer(
         "fig4a_zeus_frequency",
-        _render("Figure 4a: Zeus bots crawled for varying request frequency",
-                scenario, crawlers, checkpoint, relative),
+        render_frequency_figure(
+            "Figure 4a: Zeus bots crawled for varying request frequency",
+            scenario, crawlers, "zeus", CHECKPOINT_CYCLES,
+        ),
     )
     # Ordering (with a small saturation-noise tolerance).
     assert relative["aggressive"] >= relative["half"] - 0.05
@@ -172,15 +63,15 @@ def test_fig4a_zeus_frequency(benchmark, zeus_frequency_crawls, exhibit_writer):
 def test_fig4b_sality_frequency(benchmark, sality_frequency_crawls, exhibit_writer):
     scenario, crawlers = sality_frequency_crawls
 
-    def analyze():
-        when = cycle_checkpoint(scenario, SALITY_SUSPEND, CHECKPOINT_CYCLES)
-        return when, relative_at(crawlers, when)
-
-    checkpoint, relative = benchmark(analyze)
+    relative = benchmark(
+        lambda: relative_at(crawlers, cycle_checkpoint(scenario, "sality", CHECKPOINT_CYCLES))
+    )
     exhibit_writer(
         "fig4b_sality_frequency",
-        _render("Figure 4b: Sality bots crawled for varying request frequency",
-                scenario, crawlers, checkpoint, relative),
+        render_frequency_figure(
+            "Figure 4b: Sality bots crawled for varying request frequency",
+            scenario, crawlers, "sality", CHECKPOINT_CYCLES,
+        ),
     )
     assert relative["aggressive"] >= relative["half"] - 0.05
     assert relative["half"] >= relative["full"] - 0.05
@@ -197,9 +88,9 @@ def test_fig4_sality_hit_harder_than_zeus(
     zeus_scenario, zeus_crawlers = zeus_frequency_crawls
     sality_scenario, sality_crawlers = sality_frequency_crawls
     zeus_rel = relative_at(
-        zeus_crawlers, cycle_checkpoint(zeus_scenario, ZEUS_SUSPEND, CHECKPOINT_CYCLES)
+        zeus_crawlers, cycle_checkpoint(zeus_scenario, "zeus", CHECKPOINT_CYCLES)
     )
     sality_rel = relative_at(
-        sality_crawlers, cycle_checkpoint(sality_scenario, SALITY_SUSPEND, CHECKPOINT_CYCLES)
+        sality_crawlers, cycle_checkpoint(sality_scenario, "sality", CHECKPOINT_CYCLES)
     )
     assert sality_rel["full"] < zeus_rel["full"]

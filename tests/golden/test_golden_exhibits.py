@@ -150,3 +150,66 @@ def test_fig3_sality_small_values_golden(fig3_sality_small_result):
 
     text = json.dumps(fig3_sality_small_result.values(), indent=2, sort_keys=True)
     _check_golden("fig3_sality_small_values.json", text)
+
+
+def fig4_small_exhibit():
+    """Small-population Figure 4 crawls of both families (seeds 31 and
+    32, as in the Fig 4 benchmark): the rendered figures and a values
+    JSON of each crawler's report and the checkpoint ratios."""
+    import json
+
+    from repro.workloads.frequency import (
+        cycle_checkpoint,
+        relative_at,
+        render_frequency_figure,
+        run_frequency_crawls,
+    )
+
+    cycles = 2.0
+    texts, values = [], {}
+    for family, seed in (("zeus", 31), ("sality", 32)):
+        scenario, crawlers = run_frequency_crawls(
+            family, scale="small", master_seed=seed, sensor_count=4, announce_hours=1.0, hours=3.0
+        )
+        title = f"Figure 4 ({family}, small): bots crawled for varying request frequency"
+        texts.append(render_frequency_figure(title, scenario, crawlers, family, cycles))
+        values[family] = {
+            "relative_at_checkpoint": relative_at(
+                crawlers, cycle_checkpoint(scenario, family, cycles)
+            ),
+            "reports": {
+                label: {
+                    "distinct_ips": crawler.report.distinct_ips,
+                    "distinct_bots": crawler.report.distinct_bots,
+                    "verified_bots": len(crawler.report.verified_bots),
+                    "edges": len(crawler.report.edges),
+                    "requests_sent": crawler.report.requests_sent,
+                    "responses_received": crawler.report.responses_received,
+                    "requests_expired": crawler.report.requests_expired,
+                    "targets_contacted": crawler.report.targets_contacted,
+                    "targets_excluded": crawler.report.targets_excluded,
+                    "targets_given_up": crawler.report.targets_given_up,
+                }
+                for label, crawler in crawlers.items()
+            },
+        }
+    return "\n\n".join(texts), json.dumps(values, indent=2, sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def fig4_small_result():
+    return fig4_small_exhibit()
+
+
+def test_fig4_small_rendered_golden(fig4_small_result):
+    _check_golden("fig4_small_frequency.txt", fig4_small_result[0])
+
+
+def test_fig4_small_values_golden(fig4_small_result):
+    import json
+
+    _check_golden("fig4_small_values.json", fig4_small_result[1])
+    # The paper's ordering holds at the two-cycle checkpoint.
+    for family in ("zeus", "sality"):
+        relative = json.loads(fig4_small_result[1])[family]["relative_at_checkpoint"]
+        assert relative["aggressive"] >= relative["half"] >= relative["full"]

@@ -63,6 +63,14 @@ class TestGoldenExhibitsUnderTracing:
         text = json.dumps(result.values(), indent=2, sort_keys=True)
         assert text + "\n" == _golden_text("fig3_sality_small_values.json")
 
+    def test_fig4_traced_matches_untraced_golden(self):
+        from tests.golden.test_golden_exhibits import fig4_small_exhibit
+
+        with runtime.activated(tracer=Tracer(), metrics=MetricsRegistry()):
+            text, values = fig4_small_exhibit()
+        assert text + "\n" == _golden_text("fig4_small_frequency.txt")
+        assert values + "\n" == _golden_text("fig4_small_values.json")
+
     def test_fig2_traced_matches_untraced_golden(self):
         import json
 
