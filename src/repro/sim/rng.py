@@ -38,14 +38,29 @@ def derive_seed(master_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+class RngStream(random.Random):
+    """A registry stream: a :class:`random.Random` that keeps
+    ``gauss_next`` in a slot.
+
+    That attribute is the only one ``random.Random`` sets on an
+    instance, so a stream never materialises an instance dict (328
+    bytes each, one or more streams per bot).  Its Mersenne Twister
+    state (2.5 KiB) stays: it is the stream's future draws.  Draws,
+    ``getstate()``, pickling and ``copy.deepcopy`` are those of
+    ``random.Random`` with the same seed.
+    """
+
+    __slots__ = ("gauss_next",)
+
+
 class RngRegistry:
-    """Factory and cache of named :class:`random.Random` streams."""
+    """Factory and cache of named :class:`RngStream` streams."""
 
     def __init__(self, master_seed: int = 0) -> None:
         self.master_seed = master_seed
-        self._streams: Dict[str, random.Random] = {}
+        self._streams: Dict[str, RngStream] = {}
 
-    def stream(self, name: str) -> random.Random:
+    def stream(self, name: str) -> RngStream:
         """Return the stream for ``name``, creating it on first use.
 
         Repeated calls with the same name return the *same* object, so
@@ -53,7 +68,7 @@ class RngRegistry:
         """
         rng = self._streams.get(name)
         if rng is None:
-            rng = random.Random(derive_seed(self.master_seed, name))
+            rng = RngStream(derive_seed(self.master_seed, name))
             self._streams[name] = rng
         return rng
 

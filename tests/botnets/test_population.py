@@ -264,6 +264,34 @@ class TestSlabPeerLists:
         assert entries == len(slab) > len(net.bots) > len(keys)
 
     @pytest.mark.parametrize(
+        "network, config, unused, used",
+        [
+            (ZeusNetwork, ZeusNetworkConfig, "_goodcount", "_failures"),
+            (SalityNetwork, SalityNetworkConfig, "_failures", "_goodcount"),
+        ],
+        ids=["zeus", "sality"],
+    )
+    def test_lists_hold_only_their_family_counters(self, network, config, unused, used):
+        """Zeus never stores a goodcount and Sality never a failure
+        count, so neither family's lists create that column; a present
+        column is as long as the list's other columns."""
+        net = network(config(population=60, routable_fraction=0.5, bootstrap_peers=8, master_seed=3))
+        net.build()
+        net.start_all()
+        net.run_for(HOUR)
+        holding = 0
+        for bot in net.bots.values():
+            peer_list = bot.peer_list
+            assert getattr(peer_list, unused) is None
+            column = getattr(peer_list, used)
+            if column is not None:
+                holding += 1
+                assert len(column) == len(peer_list._endpoints)
+        assert holding > 0  # some Zeus probes went unanswered
+        if network is SalityNetwork:
+            assert holding == len(net.bots)  # seeded peers start reputed
+
+    @pytest.mark.parametrize(
         "network, config",
         [(ZeusNetwork, ZeusNetworkConfig), (SalityNetwork, SalityNetworkConfig)],
     )

@@ -2,12 +2,14 @@
 scheduler's ordering guarantees under arbitrary insert/cancel churn,
 and the named-RNG registry's determinism and isolation."""
 
+import copy
+import pickle
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.rng import RngRegistry, derive_seed, random_bytes
+from repro.sim.rng import RngRegistry, RngStream, derive_seed, random_bytes
 from repro.sim.scheduler import Scheduler
 
 # One scheduler operation: (insert? , time , cancel-target).  Cancel
@@ -145,3 +147,71 @@ class TestRngRegistryProperties:
         fast, reference = random.Random(seed), random.Random(seed)
         assert random_bytes(fast, n) == bytes(reference.getrandbits(8) for _ in range(n))
         assert fast.getstate() == reference.getstate()
+
+
+# One draw on a stream, by method; every one a bot or network makes.
+draws = st.lists(
+    st.one_of(
+        st.just(("random",)),
+        st.tuples(st.just("getrandbits"), st.integers(min_value=1, max_value=200)),
+        st.tuples(st.just("randrange"), st.integers(min_value=1, max_value=2**40)),
+        st.tuples(st.just("sample"), st.integers(min_value=0, max_value=12)),
+        st.tuples(st.just("choices"), st.integers(min_value=1, max_value=6)),
+        st.just(("gauss",)),
+        st.just(("uniform",)),
+        st.just(("shuffle",)),
+    ),
+    max_size=30,
+)
+
+
+def _draw(rng, op):
+    kind = op[0]
+    if kind == "getrandbits":
+        return rng.getrandbits(op[1])
+    if kind == "randrange":
+        return rng.randrange(op[1])
+    if kind == "sample":
+        return rng.sample(range(40), op[1])
+    if kind == "choices":
+        return rng.choices("abcdef", weights=[1, 2, 3, 4, 5, 6], k=op[1])
+    if kind == "uniform":
+        return rng.uniform(0.1, 5.0)
+    if kind == "shuffle":
+        items = list(range(10))
+        rng.shuffle(items)
+        return items
+    return getattr(rng, kind)()
+
+
+class TestRngStream:
+    """A registry stream is a ``random.Random`` with ``gauss_next`` in a
+    slot: the same draws and state, and no instance dict."""
+
+    @given(st.integers(min_value=0, max_value=2**31), st.text(min_size=1, max_size=20), draws, draws)
+    @settings(max_examples=60)
+    def test_matches_random_random(self, master, name, before, after):
+        stream = RngRegistry(master).stream(name)
+        reference = random.Random(derive_seed(master, name))
+        assert type(stream) is RngStream
+        assert [_draw(stream, op) for op in before] == [_draw(reference, op) for op in before]
+        assert stream.getstate() == reference.getstate()  # gauss_next included
+        # A pickled, a deep-copied and a restored stream go on drawing
+        # what the reference draws.
+        state = stream.getstate()
+        clones = [pickle.loads(pickle.dumps(stream)), copy.deepcopy(stream), RngStream()]
+        clones[2].setstate(state)
+        expected = [_draw(reference, op) for op in after]
+        for clone in clones:
+            assert type(clone) is RngStream
+            assert [_draw(clone, op) for op in after] == expected
+            assert clone.getstate() == reference.getstate()
+        assert [_draw(stream, op) for op in after] == expected
+        assert not vars(stream)  # no attribute landed in an instance dict
+
+    def test_gauss_next_lives_in_a_slot(self):
+        stream = RngStream(7)
+        reference = random.Random(7)
+        assert stream.gauss() == reference.gauss()
+        assert stream.gauss_next == reference.gauss_next is not None
+        assert not vars(stream)
