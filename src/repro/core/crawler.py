@@ -125,6 +125,9 @@ class _CrawlerBase:
     Pending requests live in ``self._pending`` (keyed by session id or
     nonce, family-specific) and are *expired* once they outlive
     ``retry.timeout``: a lost reply must not leak the entry forever.
+    ``self._pending_counts`` counts each target's live entries, so the
+    expiry path asks "is a younger request still out?" in O(1);
+    :meth:`_put_pending` and :meth:`_pop_pending` keep the two in step.
     With a retrying policy, expired targets are re-issued to with
     exponential backoff until the per-target and global budgets run
     out; the default :data:`~repro.faults.retry.NO_RETRY` policy only
@@ -153,6 +156,7 @@ class _CrawlerBase:
         self.running = False
         self._targets: Dict[bytes, _Target] = {}
         self._pending: Dict[object, _PendingRequest] = {}
+        self._pending_counts: Dict[bytes, int] = {}
         self._request_counter = 0
         self._retries_spent = 0
         self._expiry_timer: Optional[Timer] = None
@@ -221,6 +225,30 @@ class _CrawlerBase:
         self._expire_pending(self.scheduler.now)
         self._schedule_expiry_sweep()
 
+    def _put_pending(self, key, pending: _PendingRequest) -> None:
+        """File ``pending`` under ``key``; a reused key (a small pool of
+        session IDs) displaces its earlier entry."""
+        displaced = self._pending.get(key)
+        if displaced is not None:
+            self._uncount(displaced.target_id)
+        self._pending[key] = pending
+        counts = self._pending_counts
+        counts[pending.target_id] = counts.get(pending.target_id, 0) + 1
+
+    def _pop_pending(self, key) -> Optional[_PendingRequest]:
+        pending = self._pending.pop(key, None)
+        if pending is not None:
+            self._uncount(pending.target_id)
+        return pending
+
+    def _uncount(self, target_id: bytes) -> None:
+        counts = self._pending_counts
+        left = counts[target_id] - 1
+        if left:
+            counts[target_id] = left
+        else:
+            del counts[target_id]
+
     def _expire_pending(self, now: float) -> None:
         """Drop pending entries whose reply never came.
 
@@ -233,7 +261,7 @@ class _CrawlerBase:
             if now - pending.sent_at > self.retry.timeout
         ]
         for key in expired:
-            pending = self._pending.pop(key)
+            pending = self._pop_pending(key)
             self.report.requests_expired += 1
             self._m_expired.inc()
             if self._trace:
@@ -250,9 +278,7 @@ class _CrawlerBase:
             return
         if target.requests_sent < self.policy.requests_per_target:
             return  # the scheduled request loop is still firing
-        if target.retry_scheduled or any(
-            p.target_id == pending.target_id for p in self._pending.values()
-        ):
+        if target.retry_scheduled or pending.target_id in self._pending_counts:
             return  # a younger request (or a queued retry) may still answer
         budget = self.retry.retry_budget
         out_of_budget = budget is not None and self._retries_spent >= budget
@@ -397,8 +423,9 @@ class ZeusCrawler(_CrawlerBase):
         now = self.scheduler.now
         lookup = self.forger.lookup_key(target.bot_id)
         message = self.forger.build(MessageType.PEER_LIST_REQUEST, payload=lookup)
-        self._pending[message.session_id] = _PendingRequest(
-            target_id=target.bot_id, sent_at=now, source_id=message.source_id
+        self._put_pending(
+            message.session_id,
+            _PendingRequest(target_id=target.bot_id, sent_at=now, source_id=message.source_id),
         )
         self._remember_source(message.source_id)
         source = self._source_endpoint()
@@ -407,8 +434,9 @@ class ZeusCrawler(_CrawlerBase):
             # Protocol-adherent crawlers intersperse the other message
             # types normal bots use (Section 4.1.4).
             extra = self.forger.build(MessageType.VERSION_REQUEST)
-            self._pending[extra.session_id] = _PendingRequest(
-                target_id=target.bot_id, sent_at=now, source_id=extra.source_id
+            self._put_pending(
+                extra.session_id,
+                _PendingRequest(target_id=target.bot_id, sent_at=now, source_id=extra.source_id),
             )
             self.report.requests_sent += 1
             self.transport.send(source, target.endpoint, self.forger.encrypt(extra, target.bot_id))
@@ -433,7 +461,7 @@ class ZeusCrawler(_CrawlerBase):
         decoded = self._decrypt(message.payload)
         if decoded is None:
             return
-        pending = self._pending.pop(decoded.session_id, None)
+        pending = self._pop_pending(decoded.session_id)
         if pending is None:
             return
         target_id = pending.target_id
@@ -526,8 +554,8 @@ class SalityCrawler(_CrawlerBase):
         else:
             command, payload = Command.PEER_REQUEST, b""
         message = self.forger.build(command, payload=payload)
-        self._pending[message.nonce] = _PendingRequest(
-            target_id=target.bot_id, sent_at=self.scheduler.now
+        self._put_pending(
+            message.nonce, _PendingRequest(target_id=target.bot_id, sent_at=self.scheduler.now)
         )
         self.transport.send(self._exchange_source(), target.endpoint, self.forger.encode(message))
 
@@ -536,7 +564,7 @@ class SalityCrawler(_CrawlerBase):
             decoded = sality_protocol.decode_packet(message.payload)
         except SalityDecodeError:
             return
-        pending = self._pending.pop(decoded.nonce, None)
+        pending = self._pop_pending(decoded.nonce)
         if pending is None:
             return
         target_id = pending.target_id
