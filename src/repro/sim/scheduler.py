@@ -1,33 +1,18 @@
-"""Discrete-event scheduler: timer wheel + binary heaps.
+"""Discrete-event scheduler: one binary heap of ``(time, sequence)`` keys.
 
 This is the main loop of every simulation in the repository.  Callbacks
 are scheduled at absolute or relative simulated times; ties are broken
 by insertion order so runs are fully deterministic.
 
-Timers live in one of three stores, merged at dispatch time by true
-``(time, sequence)`` key comparison:
-
-``_due``
-    A binary heap of near-term entries (and anything displaced out of
-    the wheel).  This is where entries wait immediately before firing.
-``_wheel``
-    A coarse timer wheel -- ``WHEEL_SLOTS`` buckets of
-    ``WHEEL_GRANULARITY`` simulated seconds each -- giving O(1) insert
-    for the dominant short-horizon timers (message deliveries, retry
-    backoffs).  Each slot caches its minimum entry so the dispatch loop
-    can compare against the heaps without scanning; a slot is drained
-    into ``_due`` only once its minimum becomes the global minimum.
-    Bucketing is therefore purely a performance hint: even a
-    float-rounding misplacement cannot reorder events.
-``_heap``
-    An overflow heap for far-future entries beyond the wheel's window
-    (periodic bot cycles, day-scale experiment milestones).  Far
-    entries are never migrated; the three-way merge handles them.
+Every timer waits in one binary heap of ``(time, sequence, timer)``
+entries.  Cancellation is lazy (see :class:`Timer`): a dead entry stays
+in the heap until it reaches the top or a compaction drops it.
 
 Dispatch is batched: ``run_until``/``run`` claim all entries sharing
 the earliest timestamp in one pass, advancing the clock and checking
 the window boundary once per batch instead of once per event, with no
-separate peek step.
+separate peek step.  An entry scheduled at the batch's own time during
+the batch fires in that batch, after the entries already there.
 """
 
 from __future__ import annotations
@@ -45,6 +30,8 @@ from repro.sim.clock import Clock
 #: through to comparing Timer objects.
 _Entry = Tuple[float, int, "Timer"]
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class SchedulerStats:
@@ -52,7 +39,7 @@ class SchedulerStats:
 
     ``cancelled`` is cumulative over the scheduler's life, unlike the
     internal dead-entry count that compaction resets.  ``peak_heap``
-    and ``heap_size`` count physical entries across all three stores.
+    and ``heap_size`` count physical heap entries, dead ones included.
     """
 
     dispatched: int
@@ -70,8 +57,8 @@ class Timer:
     skipped at dispatch time, which keeps ``cancel()`` O(1) -- but the
     callback and its arguments are released immediately so closures and
     bound methods do not linger until compaction.  The owning scheduler
-    counts cancellations and compacts its stores once dead entries pile
-    up, so heavy cancel churn cannot grow them without bound.
+    counts cancellations and compacts its heap once dead entries pile
+    up, so heavy cancel churn cannot grow it without bound.
 
     A ``repeat`` timer (see :meth:`Scheduler.call_every`) is re-armed
     after each dispatch from its callback's return value; one handle
@@ -119,31 +106,16 @@ class Scheduler:
         sched.run_until(DAY)
     """
 
-    #: Never compact below this many dead entries: tiny stores are not
+    #: Never compact below this many dead entries: tiny heaps are not
     #: worth the heapify, and the threshold keeps compaction amortized
     #: O(1) per cancellation.
     COMPACTION_MIN = 64
-
-    #: Timer-wheel geometry: WHEEL_SLOTS buckets of WHEEL_GRANULARITY
-    #: simulated seconds give a 128 s window, sized to the short-horizon
-    #: timers (deliveries, retries, reorder penalties) that dominate
-    #: insert traffic.  Anything beyond the window overflows to a heap.
-    WHEEL_SLOTS = 256
-    WHEEL_GRANULARITY = 0.5
 
     def __init__(
         self, clock: Optional[Clock] = None, compaction_min: Optional[int] = None
     ) -> None:
         self.clock = clock if clock is not None else Clock()
-        self._due: List[_Entry] = []
         self._heap: List[_Entry] = []
-        self._wheel: List[List[_Entry]] = [[] for _ in range(self.WHEEL_SLOTS)]
-        self._wheel_min: List[Optional[_Entry]] = [None] * self.WHEEL_SLOTS
-        self._wheel_count = 0
-        self._wheel_base = 0.0
-        self._wheel_next = 0  # first undrained slot; lower slots are empty
-        self._wheel_inv = 1.0 / self.WHEEL_GRANULARITY
-        self._wheel_span = self.WHEEL_SLOTS * self.WHEEL_GRANULARITY
         self._sequence = 0
         self._dispatched = 0
         self._cancelled = 0
@@ -170,16 +142,16 @@ class Scheduler:
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) scheduled events."""
-        return len(self._due) + len(self._heap) + self._wheel_count - self._cancelled
+        return len(self._heap) - self._cancelled
 
     @property
     def heap_size(self) -> int:
-        """Physical entries across all stores, dead included (for tests)."""
-        return len(self._due) + len(self._heap) + self._wheel_count
+        """Physical heap entries, dead included (for tests)."""
+        return len(self._heap)
 
     @property
     def compactions(self) -> int:
-        """Times the stores have been compacted since construction."""
+        """Times the heap has been compacted since construction."""
         return self._compactions
 
     def _note_cancelled(self) -> None:
@@ -189,33 +161,21 @@ class Scheduler:
         self._cancelled_total += 1
         if (
             self._cancelled >= self._compaction_min
-            and self._cancelled * 2 >= self.heap_size
+            and self._cancelled * 2 >= len(self._heap)
         ):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries and restore the store invariants.
+        """Drop cancelled entries and restore the heap invariant.
 
         Entries keep their (time, sequence) keys, so dispatch order --
-        including insertion-order tie-breaking -- is unchanged.
+        including insertion-order tie-breaking -- is unchanged.  The
+        heap is a new list afterwards: ``cancel()`` can compact from
+        inside a callback, so no loop may hold ``_heap`` across a
+        dispatch.
         """
-        self._due = [entry for entry in self._due if not entry[2].cancelled]
-        heapify(self._due)
         self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapify(self._heap)
-        if self._wheel_count:
-            wheel = self._wheel
-            count = 0
-            for slot_index in range(self._wheel_next, self.WHEEL_SLOTS):
-                slot = wheel[slot_index]
-                if not slot:
-                    continue
-                live = [entry for entry in slot if not entry[2].cancelled]
-                if len(live) != len(slot):
-                    wheel[slot_index] = live
-                    self._wheel_min[slot_index] = min(live) if live else None
-                count += len(live)
-            self._wheel_count = count
         self._cancelled = 0
         self._compactions += 1
 
@@ -242,19 +202,13 @@ class Scheduler:
         one, so it cannot perturb event order."""
         self._profile = profile
 
-    def set_telemetry(self, telemetry: Optional[Any]) -> None:
-        """Install (or clear) a telemetry emitter: anything with
-        ``tick(scheduler)``, called once per dispatch batch in
-        ``run_until``.  Like profiling, telemetry reads only wall-clock
-        state and cannot perturb event order."""
-        self._telemetry = telemetry
-
     def call_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Timer:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self.clock.now:
-            raise ValueError(
-                f"cannot schedule in the past ({time:.6f} < {self.clock.now:.6f})"
-            )
+        now = self.clock.now
+        if not now <= time < _INF:
+            if time < now:
+                raise ValueError(f"cannot schedule in the past ({time:.6f} < {now:.6f})")
+            raise ValueError(f"cannot schedule at a non-finite time: {time}")
         timer = Timer(time, callback, args, scheduler=self)
         self._push(time, timer)
         return timer
@@ -273,93 +227,40 @@ class Scheduler:
         stop.  The single returned handle covers every occurrence and
         ``cancel()`` stops the cycle.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        timer = Timer(self.clock.now + delay, callback, args, scheduler=self, repeat=True)
+        timer = Timer(self._after(delay), callback, args, scheduler=self, repeat=True)
         self._push(timer.time, timer)
         return timer
+
+    def _after(self, delay: float) -> float:
+        """``now + delay``; a negative or non-finite ``delay`` raises
+        ValueError."""
+        time = self.clock.now + delay
+        if not (delay >= 0 and time < _INF):
+            raise ValueError(f"delay must be finite and non-negative: {delay}")
+        return time
 
     def _push(self, time: float, timer: Timer) -> None:
         sequence = self._sequence
         self._sequence = sequence + 1
-        self._place((time, sequence, timer))
-        total = len(self._due) + len(self._heap) + self._wheel_count
-        if total > self._peak_heap:
-            self._peak_heap = total
-
-    def _place(self, entry: _Entry) -> None:
-        """File an entry in the store matching its horizon."""
-        time = entry[0]
-        base = self._wheel_base
-        if self._wheel_count == 0 and (
-            time < base or time - base >= self._wheel_span
-        ):
-            # The wheel is idle and its window has drifted away from
-            # the clock: re-anchor it at the present.
-            base = self._wheel_base = self.clock.now
-            self._wheel_next = 0
-        offset = time - base
-        if offset < 0:
-            heappush(self._due, entry)
-            return
-        slot_index = int(offset * self._wheel_inv)
-        if slot_index < self._wheel_next:
-            heappush(self._due, entry)
-        elif slot_index < self.WHEEL_SLOTS:
-            self._wheel[slot_index].append(entry)
-            self._wheel_count += 1
-            slot_min = self._wheel_min[slot_index]
-            if slot_min is None or entry < slot_min:
-                self._wheel_min[slot_index] = entry
-        else:
-            heappush(self._heap, entry)
-
-    def _pop_entry(self, limit: Optional[float]) -> Optional[_Entry]:
-        """Pop the globally next live entry, or None if idle / beyond
-        ``limit``.  Entries at or past ``limit`` stay in place."""
-        due = self._due
         heap = self._heap
-        while True:
-            while due and due[0][2].cancelled:
-                heappop(due)
-                self._cancelled -= 1
-            while heap and heap[0][2].cancelled:
+        heappush(heap, (time, sequence, timer))
+        if len(heap) > self._peak_heap:
+            self._peak_heap = len(heap)
+
+    def _pop_entry(self, limit: float) -> Optional[_Entry]:
+        """Pop the next live entry, or None if idle or it lies beyond
+        ``limit``; an entry past ``limit`` stays in place."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[2].cancelled:
                 heappop(heap)
                 self._cancelled -= 1
-            if due:
-                source = heap if (heap and heap[0] < due[0]) else due
-            elif heap:
-                source = heap
+            elif entry[0] > limit:
+                return None
             else:
-                source = None
-            if self._wheel_count:
-                wheel = self._wheel
-                slot_index = self._wheel_next
-                while not wheel[slot_index]:
-                    slot_index += 1
-                self._wheel_next = slot_index
-                slot_min = self._wheel_min[slot_index]
-                if source is None or slot_min < source[0]:
-                    # The wheel holds the global minimum: drain its
-                    # first occupied slot into the near-term heap.
-                    slot = wheel[slot_index]
-                    wheel[slot_index] = []
-                    self._wheel_min[slot_index] = None
-                    self._wheel_count -= len(slot)
-                    self._wheel_next = slot_index + 1
-                    if self._wheel_next == self.WHEEL_SLOTS and self._wheel_count == 0:
-                        self._wheel_base += self._wheel_span
-                        self._wheel_next = 0
-                    due.extend(slot)
-                    heapify(due)
-                    continue
-            if source is None:
-                return None
-            entry = source[0]
-            if limit is not None and entry[0] > limit:
-                return None
-            heappop(source)
-            return entry
+                return heappop(heap)
+        return None
 
     def _dispatch(self, timer: Timer) -> None:
         """Run one claimed timer, re-arming repeat timers."""
@@ -385,57 +286,36 @@ class Scheduler:
             self._profile.record(callback, elapsed)
 
     def _rearm(self, timer: Timer, delay: float) -> None:
-        if delay < 0:
-            raise ValueError(f"negative repeat delay: {delay}")
-        timer.time = self.clock.now + delay
+        timer.time = self._after(delay)
         timer._scheduler = self
         self._push(timer.time, timer)
 
-    def step(self) -> bool:
-        """Dispatch the single next event.  Returns False when idle."""
-        entry = self._pop_entry(None)
-        if entry is None:
-            return False
-        timer = entry[2]
-        # Dispatching detaches the handle: a late cancel() is a no-op
-        # and must not skew the dead-entry count.
-        timer._scheduler = None
-        self.clock.advance(entry[0])
-        self._dispatch(timer)
-        return True
-
-    def run_until(self, time: float, max_events: Optional[int] = None) -> int:
-        """Run events up to and including simulated ``time``.
-
-        The clock lands exactly on ``time`` afterwards even if the last
-        event fired earlier, so back-to-back ``run_until`` calls tile a
-        timeline cleanly.  Returns the number of events dispatched.
-        ``max_events`` is a safety valve against runaway self-scheduling
-        loops; exceeding it raises :class:`RuntimeError`.
-
-        Same-timestamp entries are claimed as one batch: the clock
-        advances and the window boundary is checked once per distinct
-        timestamp.
-        """
+    def _run(self, limit: float, max_events: Optional[int]) -> int:
+        """The dispatch loop: run live entries due at or before
+        ``limit``, one batch per distinct timestamp.  Returns the number
+        dispatched; exceeding ``max_events`` raises RuntimeError."""
         dispatched = 0
         pop_entry = self._pop_entry
         dispatch = self._dispatch
         advance = self.clock.advance
         telemetry = self._telemetry
         while True:
-            entry = pop_entry(time)
+            entry = pop_entry(limit)
             if entry is None:
-                break
+                return dispatched
             batch_time = entry[0]
             advance(batch_time)
             while True:
                 timer = entry[2]
+                # Dispatching detaches the handle: a late cancel() is a
+                # no-op and must not skew the dead-entry count.
                 timer._scheduler = None
                 dispatch(timer)
                 dispatched += 1
                 if max_events is not None and dispatched > max_events:
+                    caller = "run()" if limit == _INF else f"run_until({limit})"
                     raise RuntimeError(
-                        f"run_until({time}) exceeded max_events={max_events}; "
+                        f"{caller} exceeded max_events={max_events}; "
                         "likely a self-rescheduling loop with zero delay"
                     )
                 entry = pop_entry(batch_time)
@@ -445,21 +325,24 @@ class Scheduler:
                 # Once per batch, not per event: the emitter itself
                 # rate-limits to a wall-clock cadence.
                 telemetry.tick(self)
+
+    def run_until(self, time: float, max_events: Optional[int] = None) -> int:
+        """Run events up to and including simulated ``time``.
+
+        The clock lands exactly on ``time`` afterwards even if the last
+        event fired earlier, so back-to-back ``run_until`` calls tile a
+        timeline cleanly.  Returns the number of events dispatched.
+        ``max_events`` is a safety valve against runaway self-scheduling
+        loops; exceeding it raises :class:`RuntimeError`.
+        """
+        if not -_INF < time < _INF:
+            raise ValueError(f"cannot run until a non-finite time: {time}")
+        dispatched = self._run(time, max_events)
         if time > self.clock.now:
-            advance(time)
+            self.clock.advance(time)
         return dispatched
 
     def run(self, max_events: int = 10_000_000) -> int:
-        """Run until no live timers remain."""
-        dispatched = 0
-        while True:
-            entry = self._pop_entry(None)
-            if entry is None:
-                return dispatched
-            timer = entry[2]
-            timer._scheduler = None
-            self.clock.advance(entry[0])
-            self._dispatch(timer)
-            dispatched += 1
-            if dispatched > max_events:
-                raise RuntimeError(f"run() exceeded max_events={max_events}")
+        """Run until no live timers remain; the clock stays at the last
+        event's time."""
+        return self._run(_INF, max_events)

@@ -8,8 +8,8 @@ and still the sensors' peer list) and to ``SlabPeerList`` produce
 identical return values and identical views.
 
 Plus the scheduler tie-break property the batched dispatch loop must
-preserve: same-timestamp events fire in insertion order, regardless of
-which store (due heap, timer wheel, far heap) they pass through.
+preserve: same-timestamp events fire in insertion order, however far
+ahead of them other entries wait in the heap.
 """
 
 import pytest
@@ -454,13 +454,13 @@ class TestSchedulerBatchTieBreak:
     def test_same_timestamp_fires_in_insertion_order(self, order, stamp):
         """Batched dispatch keeps the (time, sequence) contract: events
         scheduled for one instant run in scheduling order, however the
-        stores shuffle them internally."""
+        heap shuffles them internally."""
         scheduler = Scheduler()
         fired = []
         for tag in order:
             scheduler.call_at(stamp, fired.append, tag)
-        # Interleave other horizons so the wheel and far heap both hold
-        # entries while the batch drains.
+        # Interleave a near and a day-scale horizon so the heap holds
+        # later entries while the batch drains.
         scheduler.call_at(stamp + 1.0, fired.append, "later")
         scheduler.call_later(stamp + 2 * HOUR, fired.append, "far")
         scheduler.run_until(stamp)

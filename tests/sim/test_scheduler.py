@@ -40,6 +40,57 @@ class TestScheduling:
             Scheduler().call_later(-1.0, lambda: None)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteTimes:
+    """NaN and the infinities never enter the heap: every entry point
+    raises ValueError and leaves the scheduler as it was."""
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("method", ["call_at", "call_later", "call_every"])
+    def test_rejected(self, method, value):
+        sched = Scheduler()
+        sched.call_at(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            getattr(sched, method)(value, lambda: None)
+        assert sched.pending == 1
+        assert sched.heap_size == 1
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_run_until_rejected(self, value):
+        """A NaN limit would dispatch every pending event, and an
+        infinite one would park the clock where nothing can be
+        scheduled."""
+        sched = Scheduler()
+        sched.call_at(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            sched.run_until(value)
+        assert sched.now == 0.0
+        assert sched.pending == 1
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_repeat_delay_rejected(self, value):
+        sched = Scheduler()
+        fired = []
+
+        def cycle():
+            fired.append(sched.now)
+            return value
+
+        sched.call_every(1.0, cycle)
+        sched.call_at(5.0, fired.append, "later")
+        with pytest.raises(ValueError):
+            sched.run()
+        # The bad delay re-armed nothing and the clock never left the
+        # dispatch that returned it.
+        assert sched.now == 1.0
+        assert sched.pending == 1
+        assert sched.heap_size == 1
+        sched.run()
+        assert fired == [1.0, "later"]
+
+
 class TestOrdering:
     def test_events_fire_in_time_order(self):
         sched = Scheduler()
@@ -129,6 +180,31 @@ class TestCompaction:
             sched.call_at(0.5, lambda: None).cancel()
         sched.run()
         assert fired == ["a", "b", "c"]
+
+    def test_compaction_inside_a_callback(self):
+        """A cancel that compacts mid-batch rebuilds the heap; the batch
+        and every later window must read the rebuilt one."""
+        sched = Scheduler(compaction_min=1)
+        fired = []
+        doomed = [sched.call_at(3.0, fired.append, "dead") for _ in range(8)]
+
+        def cancel_all():
+            fired.append("cancel")
+            for timer in doomed:
+                timer.cancel()
+            sched.call_later(0.0, fired.append, "same-batch")
+            sched.call_later(0.5, fired.append, "next")
+
+        sched.call_at(1.0, cancel_all)
+        sched.call_at(1.0, fired.append, "tie")
+        sched.call_at(2.0, fired.append, "two")
+        sched.run_until(1.0)
+        assert sched.compactions > 0
+        assert fired == ["cancel", "tie", "same-batch"]
+        assert sched.pending == sched.heap_size == 2
+        sched.run()
+        assert fired == ["cancel", "tie", "same-batch", "next", "two"]
+        assert sched.heap_size == 0
 
     def test_small_heaps_not_compacted(self):
         sched = Scheduler()
@@ -228,14 +304,18 @@ class TestRunUntil:
         assert fired == [0.5, 1.5]
 
     def test_runaway_loop_detected(self):
-        sched = Scheduler()
+        for drive in (
+            lambda sched: sched.run_until(1.0, max_events=100),
+            lambda sched: sched.run(max_events=100),
+        ):
+            sched = Scheduler()
 
-        def loop():
+            def loop():
+                sched.call_later(0.0, loop)
+
             sched.call_later(0.0, loop)
-
-        sched.call_later(0.0, loop)
-        with pytest.raises(RuntimeError):
-            sched.run_until(1.0, max_events=100)
+            with pytest.raises(RuntimeError):
+                drive(sched)
 
     def test_dispatched_counter(self):
         sched = Scheduler()
