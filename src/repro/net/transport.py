@@ -209,9 +209,9 @@ class Transport:
         # Disabled (the default) leaves falsy/no-op stubs here, so the
         # send/deliver paths pay one branch and no-op calls per event.
         self._trace = obs.tracer()
-        # The subsystem profiler (when active) wants to know which
-        # delivery tier a message took; the telemetry emitter (when
-        # active) reads path-cache stats off registered transports.
+        # The subsystem profiler (when active) wants each delivery
+        # attempt's outcome; the telemetry emitter (when active) reads
+        # path-cache stats off registered transports.
         profiler = obs.profiler()
         self._profiler = profiler if profiler else None
         telemetry = obs.telemetry()
@@ -226,21 +226,8 @@ class Transport:
         self._refresh_path()
 
     def _refresh_path(self) -> None:
-        """Precompute the deliver-path switches.
-
-        ``_slow`` is the single falsy check on the deliver path: it is
-        False only when no tap, no drop tap, no tracer, and no
-        fault-injection subclass (one that overrides ``_drop_reason``)
-        is active, in which case ``_deliver`` takes a hook-free fast
-        path.  ``_reuse`` gates the message pool: recycling is safe
-        only when no tap can retain a message.
-        """
-        self._slow = bool(
-            self._taps
-            or self._drop_taps
-            or self._trace
-            or type(self)._drop_reason is not Transport._drop_reason
-        )
+        """Recompute ``_reuse``, the message-pool gate: recycling is
+        safe only when no tap can retain a message."""
         self._reuse = self._recycle and not self._taps and not self._drop_taps
 
     # -- binding -------------------------------------------------------
@@ -381,54 +368,10 @@ class Transport:
 
     def _deliver(self, src: Endpoint, dst: Endpoint, payload: bytes, sent_at: float) -> None:
         now = self.scheduler.now
-        # Tier tagging for the subsystem profiler: _deliver runs as a
+        # Kind tagging for the subsystem profiler: _deliver runs as a
         # scheduler callback and the scheduler records it *after* it
         # returns, so a note left here labels this dispatch's kind.
         profile = self._profiler
-        if not self._slow:
-            # Fast path: no taps, no tracer, no fault subclass.  The
-            # drop checks mirror _drop_reason exactly (same order, same
-            # RNG draws) without building a Message for drops.
-            stats = self.stats
-            dst_key = dst.key
-            handler = self._handlers.get(dst_key)
-            if handler is None:
-                stats.dropped_unbound_dst += 1
-                self._m_dropped.labels("unbound_dst").inc()
-                if profile is not None:
-                    profile.note("drop")
-                return
-            if not self.routability.inbound_allowed(dst_key, src.ip, now):
-                stats.dropped_unroutable += 1
-                self._m_dropped.labels("unroutable").inc()
-                if profile is not None:
-                    profile.note("drop")
-                return
-            loss_rate = self.config.loss_rate
-            if loss_rate and self.rng.random() < loss_rate:
-                stats.dropped_loss += 1
-                self._m_dropped.labels("loss").inc()
-                if profile is not None:
-                    profile.note("drop")
-                return
-            stats.delivered += 1
-            self._m_delivered.inc()
-            if profile is not None:
-                profile.note("deliver.fast")
-            pool = self._pool
-            if pool:
-                message = pool.pop()
-                message.src = src
-                message.dst = dst
-                message.payload = payload
-                message.sent_at = sent_at
-                message.delivered_at = now
-            else:
-                message = Message(src, dst, payload, sent_at, now)
-            handler(message)
-            if self._reuse and len(pool) < _POOL_MAX:
-                pool.append(message)
-            return
         reuse = self._reuse
         pool = self._pool
         if reuse and pool:
@@ -443,7 +386,7 @@ class Transport:
         reason = self._drop_reason(message)
         delivered = reason is None
         if profile is not None:
-            profile.note("deliver.slow" if delivered else "drop")
+            profile.note("deliver" if delivered else "drop")
         for tap in self._taps:
             tap(message, delivered)
         if delivered:

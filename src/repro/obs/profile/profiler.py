@@ -9,8 +9,7 @@
 * **site** -- the callback's qualified name (``Transport._deliver``);
 * **event kind** -- ``call`` by default; instrumented call sites can
   label the in-flight dispatch with :meth:`note` (the transport tags
-  each delivery with its path: ``deliver.fast``/``deliver.slow``, or
-  ``drop``).
+  each delivery attempt with its outcome: ``deliver`` or ``drop``).
 
 Coverage accounting: :meth:`start`/:meth:`stop` bracket the measured
 window, and :meth:`section` attributes coarse out-of-scheduler phases

@@ -70,11 +70,11 @@ class TestRecording:
     def test_note_labels_exactly_one_dispatch(self):
         profiler = SubsystemProfiler()
         component = _Component()
-        profiler.note("deliver.fast")
+        profiler.note("deliver")
         profiler.record(component.callback, 0.001)
         profiler.record(component.callback, 0.001)
         kinds = profiler.structure()["net"]["_Component.callback"]
-        assert kinds == {"deliver.fast": 1, KIND_CALL: 1}
+        assert kinds == {"deliver": 1, KIND_CALL: 1}
 
     def test_section_self_time_excludes_inner_callbacks(self):
         profiler = SubsystemProfiler()
@@ -144,6 +144,32 @@ class TestDeterminism:
         assert "build" in first  # the scenario build is its own section
 
 
+class TestDeliveryKinds:
+    def test_profiled_zeus_hour_splits_deliver_and_drop(self):
+        """Every delivery attempt takes one path and is labelled with
+        its outcome: a profiled tiny Zeus hour splits
+        ``Transport._deliver`` into exactly ``deliver`` and ``drop``,
+        counted as the transport counts them."""
+        from repro.botnets.zeus.network import ZeusNetwork
+        from repro.obs import runtime
+        from repro.sim.clock import HOUR
+        from repro.workloads.population import zeus_config
+
+        profiler = SubsystemProfiler()
+        with runtime.activated(profiler=profiler):
+            net = ZeusNetwork(zeus_config("tiny", master_seed=3))
+            net.build()
+            net.start_all()
+            net.run_for(HOUR)
+        stats = net.transport.stats
+        kinds = profiler.structure()["net"]["Transport._deliver"]
+        assert kinds == {
+            "deliver": stats.delivered,
+            "drop": stats.dropped_loss + stats.dropped_unroutable + stats.dropped_unbound_dst,
+        }
+        assert stats.delivered and stats.dropped_loss and stats.dropped_unroutable
+
+
 class TestAttribution:
     def test_profiled_crawl_attribution_floor(self, profiled_crawls):
         """Callbacks plus the build section claim at least 90% of a
@@ -177,7 +203,7 @@ def small_tree():
     profiler = SubsystemProfiler()
     profiler.start()
     component = _Component()
-    profiler.note("deliver.slow")
+    profiler.note("deliver")
     profiler.record(component.callback, 0.002)
     profiler.record(component.callback, 0.001)
     with profiler.section("build", "scenario"):
@@ -189,7 +215,7 @@ def small_tree():
 class TestExport:
     def test_collapsed_stacks_format(self, small_tree):
         lines = collapsed_stacks(small_tree).splitlines()
-        assert any(line.startswith("net;_Component.callback;deliver.slow ") for line in lines)
+        assert any(line.startswith("net;_Component.callback;deliver ") for line in lines)
         for line in lines:
             stack, weight = line.rsplit(" ", 1)
             assert int(weight) > 0
