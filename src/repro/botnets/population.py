@@ -62,10 +62,6 @@ class PopulationConfig:
     # Scheduled transport faults (chaos experiments).  None/empty keeps
     # the plain Transport so healthy runs replay byte-for-byte.
     fault_plan: Optional[FaultPlan] = None
-    # Reuse delivered Message objects through the transport free list.
-    # Safe for builder-owned populations (no sim handler retains the
-    # Message); handlers bound externally must snapshot what they keep.
-    recycle_messages: bool = True
     # Topology-aware internet layer (repro.topo).  None keeps the flat
     # uniform-latency model and replays byte-identically to older runs;
     # a spec string ("synth:7", "asrel:path.as-rel2") or TopologyConfig
@@ -112,6 +108,9 @@ class PopulationBuilder:
             latency_model = self.topology.latency_model(
                 self.rngs.stream("topo-jitter")
             )
+        # Both transports recycle delivered Messages: no handler the
+        # builder binds retains one, and a handler bound from outside
+        # must copy what it keeps.
         if config.fault_plan is not None and not config.fault_plan.empty:
             # Fault draws come from their own stream so the base
             # transport's draws stay aligned with fault-free runs.
@@ -121,7 +120,7 @@ class PopulationBuilder:
                 plan=config.fault_plan,
                 fault_rng=self.rngs.stream("faults"),
                 config=config.transport,
-                recycle_messages=config.recycle_messages,
+                recycle_messages=True,
                 latency_model=latency_model,
                 topology=self.topology,
             )
@@ -130,7 +129,7 @@ class PopulationBuilder:
                 self.scheduler,
                 self.rngs.stream("transport"),
                 config=config.transport,
-                recycle_messages=config.recycle_messages,
+                recycle_messages=True,
                 latency_model=latency_model,
             )
         self.state = PopulationState()
