@@ -34,8 +34,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.botnets.base import PeerEntry
-from repro.net.address import subnet_key
+from repro.net.address import prefix_mask, subnet_key
 from repro.net.transport import Endpoint
 
 #: Cap on :attr:`PeerSlab.subnet_keys`.  A population has a few
@@ -302,78 +301,116 @@ class SlabPeerList:
 
     def add(self, entry) -> bool:
         """Insert or refresh; same rules (and tie-breaks) as PeerList."""
-        bot_id = entry.bot_id
-        endpoint = entry.endpoint
+        row = ((entry.bot_id, entry.endpoint),)
+        return self._write(row, entry.last_seen, entry.failures, entry.goodcount)
+
+    def seed(self, rows: Iterable[Tuple[bytes, Endpoint]], last_seen: float, goodcount: int = 0) -> None:
+        """Add each ``(bot_id, endpoint)`` row in order, as
+        ``add(PeerEntry(bot_id, endpoint, last_seen, 0, goodcount))``:
+        how a bootstrap list is installed (same as ``PeerList.seed``)."""
+        self._write(rows, last_seen, 0, goodcount)
+
+    def _write(
+        self, rows: Iterable[Tuple[bytes, Endpoint]], last_seen: float, failures: int, goodcount: int
+    ) -> bool:
+        """The one insert path: ``add`` of each ``(bot_id, endpoint)``
+        row in order, every row carrying ``last_seen``, ``failures`` and
+        ``goodcount``.  Returns ``add``'s result for the last row.
+
+        What a new row needs (the key column and mask, capacity, free
+        list, ID column and the slab's tables) is read once per call, on
+        the first new row, so a refresh pays for none of it.  The counter
+        columns are re-read per row, since an earlier row can create one.
+        """
         index = self._index
-        last_seen = self._last_seen
-        slab = self._slab
-        slot = index.get(bot_id)
-        if slot is not None:
-            if self._endpoints[slot] != endpoint:
-                self._readdress(slot, endpoint)
-            if entry.last_seen > last_seen[slot]:
-                last_seen[slot] = entry.last_seen
-            return True
-        keys = self._keys
-        if keys is not None:
-            key = subnet_key(endpoint.ip, self.ip_filter_prefix)
-            if key in keys:
-                return False
-        if len(index) >= self.capacity:
-            # A full list has no holes, so the column minimum is the
-            # stalest entry's; ties go to the first in insertion order.
-            stalest_seen = min(last_seen)
-            if stalest_seen >= entry.last_seen:
-                return False
-            for stalest_id, slot in index.items():
-                if last_seen[slot] == stalest_seen:
-                    break
-            del index[stalest_id]
-        else:
-            slab.live += 1
-            if self._free:
-                slot = self._free.pop()
-        row = slab.id_table.get(bot_id)
-        if row is None:
-            id_int = int.from_bytes(bot_id, "big")
-        else:
-            # Key by a population bot's shared objects.
-            bot_id, id_int = row
-        if keys is not None:
-            key = slab.intern_subnet(key)
-        if slot is None:
-            # No free slot: every column grows by one.
-            index[bot_id] = len(self._endpoints)
-            self._id_ints.append(id_int)
-            self._endpoints.append(endpoint)
+        endpoints = self._endpoints
+        seen = self._last_seen
+        ready = False
+        present = False
+        for bot_id, endpoint in rows:
+            slot = index.get(bot_id)
+            if slot is not None:
+                current = endpoints[slot]
+                if current is not endpoint and current != endpoint:
+                    self._readdress(slot, endpoint)
+                if last_seen > seen[slot]:
+                    seen[slot] = last_seen
+                present = True
+                continue
+            if not ready:
+                ready = True
+                keys = self._keys
+                if keys is not None:
+                    mask = prefix_mask(self.ip_filter_prefix)
+                capacity = self.capacity
+                free = self._free
+                id_ints = self._id_ints
+                slab = self._slab
+                id_table = slab.id_table
+                subnet_keys = slab.subnet_keys
             if keys is not None:
-                keys.append(key)
-            last_seen.append(entry.last_seen)
+                key = endpoint.ip & mask
+                if key in keys:
+                    present = False
+                    continue
+            if len(index) >= capacity:
+                # A full list has no holes, so the column minimum is the
+                # stalest entry's; ties go to the first in insertion order.
+                stalest_seen = min(seen)
+                if stalest_seen >= last_seen:
+                    present = False
+                    continue
+                for stalest_id, slot in index.items():
+                    if seen[slot] == stalest_seen:
+                        break
+                del index[stalest_id]
+            else:
+                slab.live += 1
+                if free:
+                    slot = free.pop()
+            row = id_table.get(bot_id)
+            if row is None:
+                id_int = int.from_bytes(bot_id, "big")
+            else:
+                # Key by a population bot's shared objects.
+                bot_id, id_int = row
+            if keys is not None:
+                shared = subnet_keys.get(key)
+                key = slab.intern_subnet(key) if shared is None else shared
+            present = True
+            if slot is None:
+                # No free slot: every column grows by one.
+                index[bot_id] = len(endpoints)
+                id_ints.append(id_int)
+                endpoints.append(endpoint)
+                if keys is not None:
+                    keys.append(key)
+                seen.append(last_seen)
+                if self._failures is not None:
+                    self._failures.append(failures)
+                elif failures:
+                    self._failures_column()[-1] = failures
+                if self._goodcount is not None:
+                    self._goodcount.append(goodcount)
+                elif goodcount:
+                    self._goodcount_column()[-1] = goodcount
+                continue
+            index[bot_id] = slot
+            id_ints[slot] = id_int
+            endpoints[slot] = endpoint
+            if keys is not None:
+                keys[slot] = key
+            seen[slot] = last_seen
+            # A reused slot's counters are overwritten, zeros included.
             if self._failures is not None:
-                self._failures.append(entry.failures)
-            elif entry.failures:
-                self._failures_column()[-1] = entry.failures
+                self._failures[slot] = failures
+            elif failures:
+                self._failures_column()[slot] = failures
             if self._goodcount is not None:
-                self._goodcount.append(entry.goodcount)
-            elif entry.goodcount:
-                self._goodcount_column()[-1] = entry.goodcount
-            return True
-        index[bot_id] = slot
-        self._id_ints[slot] = id_int
-        self._endpoints[slot] = endpoint
-        if keys is not None:
-            keys[slot] = key
-        last_seen[slot] = entry.last_seen
-        # A reused slot's counters are overwritten, zeros included.
-        if self._failures is not None:
-            self._failures[slot] = entry.failures
-        elif entry.failures:
-            self._failures_column()[slot] = entry.failures
-        if self._goodcount is not None:
-            self._goodcount[slot] = entry.goodcount
-        elif entry.goodcount:
-            self._goodcount_column()[slot] = entry.goodcount
-        return True
+                self._goodcount[slot] = goodcount
+            elif goodcount:
+                self._goodcount_column()[slot] = goodcount
+        return present
 
     def _readdress(self, slot: int, endpoint: Endpoint) -> None:
         """Move ``slot`` to ``endpoint``, unless another entry holds its
@@ -386,14 +423,6 @@ class SlabPeerList:
                     return
                 keys[slot] = self._slab.intern_subnet(key)
         self._endpoints[slot] = endpoint
-
-    def seed(self, rows: Iterable[Tuple[bytes, Endpoint]], last_seen: float, goodcount: int = 0) -> None:
-        """Add each ``(bot_id, endpoint)`` row in order, as
-        ``add(PeerEntry(bot_id, endpoint, last_seen, 0, goodcount))``:
-        how a bootstrap list is installed (same as ``PeerList.seed``)."""
-        add = self.add
-        for bot_id, endpoint in rows:
-            add(PeerEntry(bot_id, endpoint, last_seen, 0, goodcount))
 
     def _release(self, slot: int) -> None:
         """Free the slot of an entry just dropped from the index."""

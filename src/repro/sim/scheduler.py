@@ -155,15 +155,20 @@ class Scheduler:
         return self._compactions
 
     def _note_cancelled(self) -> None:
-        """A live entry was cancelled; compact once the dead outnumber
-        the living (and exceed the minimum threshold)."""
+        """A live entry was cancelled; compact if that made it due."""
         self._cancelled += 1
         self._cancelled_total += 1
-        if (
+        if self._compaction_due():
+            self._compact()
+
+    def _compaction_due(self) -> bool:
+        """Dead entries make up half the heap and number at least the
+        minimum threshold.  Checked on every cancel and after every
+        dispatch batch."""
+        return (
             self._cancelled >= self._compaction_min
             and self._cancelled * 2 >= len(self._heap)
-        ):
-            self._compact()
+        )
 
     def _compact(self) -> None:
         """Drop cancelled entries and restore the heap invariant.
@@ -299,6 +304,7 @@ class Scheduler:
         dispatch = self._dispatch
         advance = self.clock.advance
         telemetry = self._telemetry
+        compaction_min = self._compaction_min
         while True:
             entry = pop_entry(limit)
             if entry is None:
@@ -321,6 +327,11 @@ class Scheduler:
                 entry = pop_entry(batch_time)
                 if entry is None:
                     break
+            if self._cancelled >= compaction_min and self._compaction_due():
+                # Dispatching drains live entries only, so the dead
+                # can come to dominate without another cancel.  The
+                # first test spares the call while few entries are dead.
+                self._compact()
             if telemetry is not None:
                 # Once per batch, not per event: the emitter itself
                 # rate-limits to a wall-clock cadence.

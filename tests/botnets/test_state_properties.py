@@ -334,13 +334,21 @@ NET_1_OTHER = Endpoint(0x0A000200, 4001)
 NET_2 = Endpoint(0x0B000100, 4000)
 
 
-def _slab_list(prefix, freed):
-    """A capacity-6 slab list holding ``freed`` free slots, so new rows
-    take recycled slots first."""
-    peer_list = SlabPeerList(capacity=6, ip_filter_prefix=prefix, slab=PeerSlab())
-    fillers = [bytes([0xF0 + index]) * 20 for index in range(freed)]
+def _held_list(backend, capacity, prefix, freed):
+    """A list for ``TestSeed``.  At the families' capacities it holds
+    bootstrap rows up to six slots short of full, row k last seen at
+    ``k // 2`` (stale, and tied in pairs); a slab list also holds
+    ``freed`` free slots, so new rows take recycled slots first."""
+    if backend == "objects":
+        peer_list = PeerList(capacity=capacity, ip_filter_prefix=prefix)
+        fillers = []
+    else:
+        peer_list = SlabPeerList(capacity=capacity, ip_filter_prefix=prefix, slab=PeerSlab())
+        fillers = [bytes([0xF0 + index]) * 20 for index in range(freed)]
     for index, bot_id in enumerate(fillers):
         peer_list.add(PeerEntry(bot_id=bot_id, endpoint=Endpoint((0xF0 + index) << 24, 4000), last_seen=0.0))
+    for k in range(capacity - 6):
+        peer_list.add(PeerEntry(_peer(k), _address(k), float(k // 2)))
     for bot_id in fillers:
         peer_list.remove(bot_id)
     return peer_list
@@ -349,10 +357,21 @@ def _slab_list(prefix, freed):
 class TestSeed:
     """``seed(rows, t, g)`` is ``add(PeerEntry(id, ep, t, 0, g))`` per
     row, in order, on both backends, and on the slab it writes the
-    same slots and columns."""
+    same slots and columns: at capacity 6, and at Zeus's (150, /20) and
+    Sality's (1,000, /32), where one call can reuse free slots, append
+    and evict several times."""
 
     @pytest.mark.parametrize("backend", ["objects", "slab"])
-    @pytest.mark.parametrize("prefix", [None, 20, 32])
+    @pytest.mark.parametrize(
+        "capacity, prefix",
+        [
+            pytest.param(6, None, id="None"),
+            pytest.param(6, 20, id="20"),
+            pytest.param(6, 32, id="32"),
+            pytest.param(150, 20, id="zeus"),
+            pytest.param(1000, 32, id="sality"),
+        ],
+    )
     @given(
         held=st.lists(st.tuples(ids, endpoints, times), max_size=8),
         rows=seed_rows,
@@ -379,14 +398,31 @@ class TestSeed:
         goodcount=1,
         freed=3,
     )
+    @example(  # held entries take the free slots and fill the list; every row then evicts
+        held=[(bytes([n]) * 20, Endpoint(n << 20, 4000), 9.0) for n in range(1, 7)],
+        rows=[(bytes([n]) * 20, Endpoint(n << 20, 4000)) for n in range(7, 12)],
+        last_seen=50.0,
+        goodcount=1,
+        freed=2,
+    )
+    @example(  # rows reuse the free slots held entries left, append, then evict
+        held=[(C, NET_2, 9.0)],
+        rows=[(bytes([n]) * 20, Endpoint(n << 20, 4000)) for n in range(1, 13)],
+        last_seen=40.0,
+        goodcount=2,
+        freed=4,
+    )
+    @example(  # subnet key 0 (0.0.0.0/20): B shares A's /20, not its IP
+        held=[],
+        rows=[(A, Endpoint(0x00000A00, 4000)), (B, Endpoint(0x00000B00, 4000)), (C, NET_1)],
+        last_seen=1.0,
+        goodcount=0,
+        freed=1,
+    )
     @settings(max_examples=60, deadline=None)
-    def test_seed_is_add_per_row(self, backend, prefix, held, rows, last_seen, goodcount, freed):
-        if backend == "objects":
-            seeded = PeerList(capacity=6, ip_filter_prefix=prefix)
-            reference = PeerList(capacity=6, ip_filter_prefix=prefix)
-        else:
-            seeded = _slab_list(prefix, freed=freed)
-            reference = _slab_list(prefix, freed=freed)
+    def test_seed_is_add_per_row(self, backend, capacity, prefix, held, rows, last_seen, goodcount, freed):
+        seeded = _held_list(backend, capacity, prefix, freed)
+        reference = _held_list(backend, capacity, prefix, freed)
         for peer_list in (seeded, reference):
             for bot_id, endpoint, seen in held:
                 peer_list.add(PeerEntry(bot_id=bot_id, endpoint=endpoint, last_seen=seen))

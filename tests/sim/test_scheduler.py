@@ -206,6 +206,33 @@ class TestCompaction:
         assert fired == ["cancel", "tie", "same-batch", "next", "two"]
         assert sched.heap_size == 0
 
+    @pytest.mark.parametrize(
+        "compaction_min, live, dead",
+        [(None, 1000, 999), (1, 10, 9)],
+        ids=["default-min", "min-1"],
+    )
+    def test_dispatch_compacts_at_batch_boundary(self, compaction_min, live, dead):
+        """Cancels that leave the dead just short of half the heap, then
+        a window that dispatches all but one live timer: the batch
+        boundary compacts, so the heap stays within the bound with no
+        further cancel, and dispatch order is unchanged."""
+        sched = Scheduler(compaction_min=compaction_min)
+        minimum = Scheduler.COMPACTION_MIN if compaction_min is None else compaction_min
+        fired = []
+        for time in range(1, live + 1):
+            sched.call_at(float(time), fired.append, time)
+        for _ in range(dead):
+            sched.call_at(5000.0, fired.append, "dead").cancel()
+        assert sched.compactions == 0
+        sched.run_until(float(live - 1))
+        assert fired == list(range(1, live))
+        assert sched.pending == 1
+        assert sched.compactions > 0
+        assert sched.heap_size <= 2 * sched.pending + minimum + 1
+        sched.run()
+        assert fired == list(range(1, live + 1))
+        assert sched.heap_size == 0
+
     def test_small_heaps_not_compacted(self):
         sched = Scheduler()
         for _ in range(Scheduler.COMPACTION_MIN - 1):
