@@ -7,8 +7,9 @@ requests per sensor subset -- the paper's Section 6.1 methodology.
 
 The sweep itself executes on the experiment runner
 (:mod:`repro.runner`): each (threshold, ratio) cell is one sweep
-point, dispatched serially here and re-dispatched across a worker
-pool to assert the sharded path reproduces the serial grid exactly.
+point, run serially here and re-run through the dispatcher on two
+in-process hosts to assert the sharded path reproduces the serial
+grid exactly.
 
 Threshold note: the paper's sensors were 0.25% of a 200k-bot
 population; ours are ~30% of a 4k one, so ordinary bots touch
@@ -22,7 +23,7 @@ from repro.analysis.metrics import detection_series
 from repro.core.detection import DetectionConfig
 from repro.core.detection.offline import detection_grid, evaluate_detection
 from repro.runner import (
-    ProcessExecutor,
+    DispatchExecutor,
     SerialExecutor,
     SweepSpec,
     fig2_grid,
@@ -37,7 +38,7 @@ RATIOS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 #: Closure state for the flagship point: the session-scoped capture is
 #: built by the fixture, so the point function reads it from here
-#: (workers inherit it via fork, since pools start inside ``run()``).
+#: (in-process hosts see it; subprocess hosts could not).
 _FLAGSHIP = {}
 
 
@@ -138,13 +139,13 @@ def test_fig2_detection_vs_contact_ratio(benchmark, zeus_flagship, exhibit_write
 
 
 def test_fig2_parallel_matches_serial(zeus_flagship):
-    """The sharded (multi-worker) sweep reproduces the serial grid
+    """The sharded (two-host) sweep reproduces the serial grid
     byte-for-byte: scheduling cannot leak into the exhibit."""
     _FLAGSHIP["dataset"] = zeus_flagship.dataset
     _FLAGSHIP["truth"] = zeus_flagship.active_fleet_ips
 
     spec = _flagship_spec()
     serial = SerialExecutor().run(spec)
-    parallel = ProcessExecutor(workers=2).run(spec)
+    parallel = DispatchExecutor(hosts=2).run(spec)
     assert serial.values() == parallel.values()
     assert render_fig2_sweep(serial) == render_fig2_sweep(parallel)

@@ -176,7 +176,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.name is None:
         print("sweep: a sweep name is required (or --list)", file=sys.stderr)
         return 2
-    if args.workers < 1:
+    if args.workers is not None and args.workers < 1:
         print("sweep: --workers must be >= 1", file=sys.stderr)
         return 2
     if args.max_retries < 0:
@@ -185,16 +185,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.hosts is not None and args.hosts < 1:
         print("sweep: --hosts must be >= 1", file=sys.stderr)
         return 2
-    if args.hosts is None and (
-        args.host_faults or args.host_fault_seed is not None
-    ):
-        print("sweep: --host-faults/--host-fault-seed need --hosts", file=sys.stderr)
+    if args.hosts is not None and args.workers is not None:
+        print("sweep: give --workers or --hosts, not both", file=sys.stderr)
+        return 2
+    # --workers N > 1 runs N subprocess hosts, --hosts N runs N
+    # simulated in-process hosts; both go through the dispatcher.
+    hosts = args.hosts if args.hosts is not None else (args.workers or 1)
+    dispatched = args.hosts is not None or hosts > 1
+    if not dispatched and (args.host_faults or args.host_fault_seed is not None):
+        print(
+            "sweep: --host-faults/--host-fault-seed need --workers N > 1 or --hosts N",
+            file=sys.stderr,
+        )
         return 2
     if args.chunk_size is not None and args.chunk_size < 1:
         print("sweep: --chunk-size must be >= 1", file=sys.stderr)
         return 2
-    if args.live and args.hosts is None:
-        print("sweep: --live renders host telemetry and needs --hosts", file=sys.stderr)
+    if args.live and not dispatched:
+        print(
+            "sweep: --live renders host telemetry and needs --workers N > 1 or --hosts N",
+            file=sys.stderr,
+        )
         return 2
     overrides = {}
     if args.scale is not None:
@@ -219,10 +230,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         trace_progress = TraceProgress(inner=progress)
         progress = trace_progress
     capture_metrics = bool(args.metrics) or args.health
-    if args.hosts is not None:
+    if dispatched:
         from repro.runner.dispatch import (
             DispatchExecutor,
             HostFaultPlan,
+            LocalHostPool,
             SubprocessHostPool,
             parse_host_faults,
             sample_fault_plan,
@@ -232,47 +244,42 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             if args.host_faults:
                 fault_plan = parse_host_faults(args.host_faults)
             elif args.host_fault_seed is not None:
-                fault_plan = sample_fault_plan(args.host_fault_seed, hosts=args.hosts)
+                fault_plan = sample_fault_plan(args.host_fault_seed, hosts=hosts)
             else:
                 fault_plan = HostFaultPlan()
-            pool = None
-            if args.host_transport == "subprocess":
-                pool = SubprocessHostPool(hosts=args.hosts)
-            dispatcher = DispatchExecutor(
-                hosts=args.hosts,
-                pool=pool,
-                chunk_size=args.chunk_size,
-                max_retries=args.max_retries,
-                capture_metrics=capture_metrics,
-                fault_plan=fault_plan,
-            )
-            if args.live:
-                progress = _LiveFleetProgress(dispatcher, inner=progress)
-            if fault_plan.faults:
-                print(f"host faults: {fault_plan.label()}", file=sys.stderr)
-            result = dispatcher.run(spec, progress=progress)
+            pool = LocalHostPool(hosts) if args.hosts is not None else SubprocessHostPool(hosts)
+            with pool:
+                dispatcher = DispatchExecutor(
+                    pool=pool,
+                    chunk_size=args.chunk_size,
+                    max_retries=args.max_retries,
+                    capture_metrics=capture_metrics,
+                    fault_plan=fault_plan,
+                )
+                if args.live:
+                    progress = _LiveFleetProgress(dispatcher, inner=progress)
+                if fault_plan.faults:
+                    print(f"host faults: {fault_plan.label()}", file=sys.stderr)
+                result = dispatcher.run(spec, progress=progress)
         except ValueError as exc:
             print(f"sweep: {exc}", file=sys.stderr)
             return 2
     else:
         result = run_sweep(
             spec,
-            workers=args.workers,
             max_retries=args.max_retries,
             progress=progress,
             capture_metrics=capture_metrics,
         )
-    if args.trace and dispatcher is not None:
-        # Dispatched sweeps trace the per-host lease timeline keyed to
+    if args.trace:
+        from repro.obs import write_jsonl
+
+        # --hosts traces the per-host lease timeline keyed to
         # deterministic dispatcher steps (not wall time).
-        from repro.obs import write_jsonl
-
-        count = write_jsonl(dispatcher.timeline(), args.trace)
-        print(f"trace: {count} events -> {args.trace}", file=sys.stderr)
-    if trace_progress is not None:
-        from repro.obs import write_jsonl
-
-        count = write_jsonl(trace_progress.events(), args.trace)
+        events = (
+            trace_progress.events() if trace_progress is not None else dispatcher.timeline()
+        )
+        count = write_jsonl(events, args.trace)
         print(f"trace: {count} events -> {args.trace}", file=sys.stderr)
     if args.metrics:
         from repro.obs import write_metrics
@@ -617,8 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a named parameter sweep, sharded across worker processes",
         description=(
-            "Shard a paper sweep (e.g. fig2, fig3-zeus) across a process "
-            "pool.  Results are bit-identical for a given --seed at any "
+            "Shard a paper sweep (e.g. fig2, fig3-zeus) across subprocess "
+            "hosts.  Results are bit-identical for a given --seed at any "
             "--workers count: every point's RNG seed is derived from the "
             "root seed and the point's index, never from scheduling."
         ),
@@ -626,8 +633,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("name", nargs="?", help="sweep name (see --list)")
     sweep.add_argument("--list", action="store_true", help="list available sweeps")
     sweep.add_argument(
-        "-w", "--workers", type=int, default=1,
-        help="worker processes (1 = serial in-process execution)",
+        "-w", "--workers", type=int, default=None,
+        help="worker processes, run as dispatcher subprocess hosts "
+             "(default 1: serial in-process execution)",
     )
     sweep.add_argument(
         "--seed", type=int, default=0,
@@ -640,18 +648,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--max-retries", type=int, default=2,
-        help="retry budget per point for failing/crashed workers or lost hosts",
+        help="retry budget per point for failing points or lost hosts",
     )
     sweep.add_argument(
         "--hosts", type=int, default=None, metavar="N",
-        help="dispatch the sweep across N hosts with lease-based "
-             "host-failure recovery (instead of one process pool); "
-             "results stay byte-identical to a serial run",
-    )
-    sweep.add_argument(
-        "--host-transport", choices=("local", "subprocess"), default="local",
-        help="host pool backing for --hosts: in-process simulated hosts "
-             "(deterministic, full fault support) or one subprocess per host",
+        help="dispatch the sweep across N simulated in-process hosts "
+             "(deterministic, every host fault kind) instead of --workers' "
+             "subprocess hosts; results stay byte-identical to a serial run",
     )
     sweep.add_argument(
         "--host-faults", metavar="PLAN", default=None,
@@ -674,7 +677,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--trace", metavar="FILE", default=None,
-        help="record the sweep execution timeline (one track per worker) to FILE",
+        help="record the sweep execution timeline to FILE (one track per "
+             "worker; dispatcher steps per host under --hosts)",
     )
     sweep.add_argument(
         "--metrics", metavar="FILE", default=None,
@@ -688,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--live", action="store_true",
         help="dispatched sweeps: render a live per-host fleet view from "
-             "host telemetry (needs --hosts)",
+             "host telemetry (needs --workers N > 1 or --hosts N)",
     )
     add_topology_option(sweep)
     sweep.set_defaults(func=_cmd_sweep)

@@ -57,7 +57,6 @@ from repro.obs.telemetry import (
     render_snapshot,
 )
 from repro.obs.instrument import (
-    CallbackProfile,
     ObsSession,
     TraceProgress,
     instrument_scheduler,
@@ -77,7 +76,6 @@ from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
     "analyze",
-    "CallbackProfile",
     "chrome_trace",
     "collapsed_stacks",
     "COMPLETE",

@@ -1,14 +1,11 @@
-"""Attachable instrumentation: scheduler profiling, session plumbing.
+"""Attachable instrumentation: scheduler stats, session plumbing.
 
 Most layers instrument themselves by capturing the ambient context at
 construction (see :mod:`repro.obs.runtime`).  This module holds the
 pieces that attach *onto* existing objects instead:
 
-* :class:`CallbackProfile` -- wall-time profiling of scheduler
-  callbacks, installed with ``scheduler.set_profile(...)``;
 * :func:`instrument_scheduler` -- publishes scheduler stats as gauges
-  (via a snapshot-time collector, zero per-event cost) and installs
-  the profile;
+  (via a snapshot-time collector, zero per-event cost);
 * :class:`TraceProgress` -- a sweep progress hook that renders the
   execution timeline (one track per worker) as trace events;
 * :class:`ObsSession` -- the CLI-facing bundle: build tracer/registry
@@ -19,7 +16,7 @@ pieces that attach *onto* existing objects instead:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.obs import runtime
 from repro.obs.events import COMPLETE, FlightRecorder, TraceEvent
@@ -35,40 +32,12 @@ from repro.obs.telemetry import LiveRunView, TelemetryEmitter
 from repro.obs.tracer import Tracer
 
 
-class CallbackProfile:
-    """Aggregates wall-clock time per scheduler callback.
-
-    Samples land in a histogram labeled by the callback's qualified
-    name; the label child is cached per name, so steady state is one
-    dict lookup plus one observe per dispatch -- and the whole profile
-    only exists when explicitly installed.
-    """
-
-    def __init__(self, registry: MetricsRegistry, name: str = "sched.callback_wall_seconds") -> None:
-        self._histogram = registry.histogram(
-            name, "wall-clock seconds spent inside scheduler callbacks, by callback"
-        )
-        self._children: Dict[str, Any] = {}
-
-    def record(self, callback: Callable[..., Any], seconds: float) -> None:
-        name = getattr(callback, "__qualname__", None) or repr(callback)
-        child = self._children.get(name)
-        if child is None:
-            child = self._histogram.labels(name)
-            self._children[name] = child
-        child.observe(seconds)
-
-
-def instrument_scheduler(
-    scheduler, registry: MetricsRegistry, profile: bool = True, prefix: str = "sched"
-) -> None:
-    """Publish ``scheduler.stats()`` as gauges and (optionally) install
-    callback wall-time profiling.
+def instrument_scheduler(scheduler, registry: MetricsRegistry, prefix: str = "sched") -> None:
+    """Publish ``scheduler.stats()`` as gauges.
 
     The gauges are filled by a snapshot-time collector, so the
-    scheduler's hot loop is untouched; only the profile adds per-
-    dispatch work (two ``perf_counter`` calls), and only when
-    installed.
+    scheduler's hot loop is untouched.  Per-callback wall time is the
+    subsystem profiler's job (``--profile``, :mod:`repro.obs.profile`).
     """
 
     def collect(reg: MetricsRegistry) -> None:
@@ -80,20 +49,16 @@ def instrument_scheduler(
         reg.gauge(f"{prefix}.pending", "live timers at snapshot").set(stats.pending)
 
     registry.register_collector(collect)
-    # Do not displace a profiler the scheduler already captured
-    # ambiently (the subsystem profiler wins over the flat histogram).
-    if profile and getattr(scheduler, "_profile", None) is None:
-        scheduler.set_profile(CallbackProfile(registry))
 
 
 class TraceProgress:
     """Sweep progress hook that records the execution timeline.
 
     Produces one ``X`` (complete) event per finished point on a track
-    named after its worker, plus instants for retries, pool restarts,
-    and completion -- all keyed to *wall-clock seconds since sweep
-    start* (``ProgressEvent.elapsed``), since a sweep has no simulated
-    clock.  Convert with ``time_scale=1e6`` like any other recording;
+    named after its worker, plus instants for retries, host faults and
+    losses, and completion -- all keyed to *wall-clock seconds since
+    sweep start* (``ProgressEvent.elapsed``), since a sweep has no
+    simulated clock.  Convert with ``time_scale=1e6`` like any other recording;
     the resulting Perfetto view is the pool-utilization picture.
 
     Wraps an inner hook (e.g. ``ConsoleProgress``) so tracing a sweep
@@ -128,10 +93,6 @@ class TraceProgress:
                     "retry",
                     args={"point": event.point.index, "error": event.detail},
                 )
-            )
-        elif event.kind == "pool-restart":
-            self._events.append(
-                TraceEvent(event.elapsed, "runner", "pool-restart", args={"error": event.detail})
             )
         elif event.kind in ("host-fault", "host-lost"):
             # Dispatcher lifecycle (see repro.runner.dispatch): plan

@@ -1,10 +1,12 @@
 """Sharded experiment runner.
 
 Fans parameter sweeps (the work lists behind Figures 2-4 and Table 4)
-out across a ``multiprocessing`` pool -- or runs them serially through
-the identical API -- with per-point deterministic seed derivation, so
-aggregated results are bit-identical regardless of worker count or
-scheduling order.  See DESIGN notes in :mod:`repro.runner.sweep`.
+out across subprocess hosts through one dispatcher
+(:mod:`repro.runner.dispatch`) -- or runs them serially through the
+identical API -- with per-point deterministic seed derivation, so
+aggregated results are bit-identical regardless of worker count,
+scheduling order or host failures.  See DESIGN notes in
+:mod:`repro.runner.sweep`.
 
 Quick use::
 
@@ -30,16 +32,10 @@ from repro.runner.dispatch import (
     HostFaultPlan,
     LocalHostPool,
     SubprocessHostPool,
-    dispatch_sweep,
     parse_host_faults,
     sample_fault_plan,
 )
-from repro.runner.executors import (
-    ProcessExecutor,
-    SerialExecutor,
-    SweepExecutionError,
-    run_sweep,
-)
+from repro.runner.executors import SerialExecutor, SweepExecutionError, run_sweep
 from repro.runner.health import (
     point_indicators,
     render_sweep_health,
@@ -67,7 +63,6 @@ __all__ = [
     "ConsoleProgress",
     "coverage_relative",
     "coverage_series",
-    "dispatch_sweep",
     "DispatchExecutor",
     "HostFault",
     "HostFaultPlan",
@@ -80,7 +75,6 @@ __all__ = [
     "render_fig2_sweep",
     "render_fig3_sweep",
     "PointRecord",
-    "ProcessExecutor",
     "ProgressEvent",
     "SerialExecutor",
     "SweepExecutionError",

@@ -10,14 +10,12 @@ rather than a timing accident.
 
 Quick use::
 
-    from repro.runner.dispatch import dispatch_sweep, parse_host_faults
+    from repro.runner.dispatch import DispatchExecutor, parse_host_faults
     from repro.runner import build_sweep
 
-    result = dispatch_sweep(
-        build_sweep("fig2", root_seed=0),
-        hosts=3,
-        fault_plan=parse_host_faults("kill:1@0.5"),
-    )
+    result = DispatchExecutor(
+        hosts=3, fault_plan=parse_host_faults("kill:1@0.5")
+    ).run(build_sweep("fig2", root_seed=0))
 """
 
 from repro.runner.dispatch.dispatcher import (
@@ -54,41 +52,11 @@ from repro.runner.dispatch.wire import (
     hello_to_wire,
 )
 
-from typing import Optional
-
-from repro.runner.progress import ProgressHook
-from repro.runner.sweep import SweepResult, SweepSpec
-
-
-def dispatch_sweep(
-    spec: SweepSpec,
-    hosts: int = 2,
-    pool: Optional[HostPool] = None,
-    chunk_size: Optional[int] = None,
-    max_retries: int = 2,
-    capture_metrics: bool = False,
-    fault_plan: Optional[HostFaultPlan] = None,
-    heartbeat_misses: int = 3,
-    progress: Optional[ProgressHook] = None,
-) -> SweepResult:
-    """One-call dispatcher run (the CLI entry point)."""
-    executor = DispatchExecutor(
-        hosts=hosts,
-        pool=pool,
-        chunk_size=chunk_size,
-        max_retries=max_retries,
-        capture_metrics=capture_metrics,
-        fault_plan=fault_plan,
-        heartbeat_misses=heartbeat_misses,
-    )
-    return executor.run(spec, progress=progress)
-
 
 __all__ = [
     "check_hello",
     "chunk_leases",
     "default_chunk_size",
-    "dispatch_sweep",
     "DispatchExecutor",
     "FAULT_KINDS",
     "hello_to_wire",

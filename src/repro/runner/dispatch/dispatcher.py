@@ -13,13 +13,13 @@ The only failure signal is silence.  A host that misses
 ``heartbeat_misses`` consecutive steps is declared lost; its
 unacknowledged points (tracked in the dispatcher's own lease ledger,
 never by asking the transport) are re-leased to the surviving hosts
-under the same per-point attempt budget the executors use.  A host
+under the same per-point attempt budget the serial executor uses.  A host
 that answers but has silently dropped results (the partition case:
 work executed, acks lost) is caught by ledger/idle reconciliation --
 an idle host whose ledger still shows pending points gets them
 re-leased.  Points whose budget runs out, or whose sweep has no
 surviving host, surface as
-:class:`~repro.runner.executors.SweepExecutionError` with the failing
+:class:`~repro.runner.execute.SweepExecutionError` with the failing
 indices attached.
 
 Determinism
@@ -58,14 +58,13 @@ from repro.runner.dispatch.transport import (
     LocalHostPool,
 )
 from repro.runner.dispatch.wire import WorkUnit
-from repro.runner.executors import SweepExecutionError
+from repro.runner.execute import SweepExecutionError, _ExecutorBase
 from repro.runner.progress import (
     HOST_FAULT,
     HOST_LOST,
     HOST_TELEMETRY,
     POINT_DONE,
     POINT_RETRY,
-    SWEEP_DONE,
     SWEEP_START,
     ProgressEvent,
     ProgressHook,
@@ -76,7 +75,6 @@ from repro.runner.sweep import (
     SweepPoint,
     SweepResult,
     SweepSpec,
-    merge_records,
 )
 
 
@@ -103,10 +101,11 @@ def default_chunk_size(total_points: int, hosts: int) -> int:
     return max(1, math.ceil(total_points / (hosts * 4)))
 
 
-class DispatchExecutor:
+class DispatchExecutor(_ExecutorBase):
     """Distribute a sweep across a host pool with failure recovery.
 
-    Parameters mirror the executors where they overlap; the new knobs:
+    Parameters mirror :class:`~repro.runner.executors.SerialExecutor`
+    where they overlap; the new knobs:
 
     ``hosts``
         Host count for the default transport (ignored when ``pool`` is
@@ -114,9 +113,10 @@ class DispatchExecutor:
     ``pool``
         A :class:`HostPool`; defaults to an in-process
         :class:`LocalHostPool` -- the deterministic reference
-        transport.  Pass a
+        transport, closed when the run ends.  Pass a
         :class:`~repro.runner.dispatch.subproc.SubprocessHostPool` for
-        real process-per-host execution.
+        real process-per-host execution; the caller closes a pool it
+        passes.
     ``fault_plan``
         A :class:`HostFaultPlan` injected at deterministic progress
         thresholds through the transport seam.
@@ -136,8 +136,7 @@ class DispatchExecutor:
         fault_plan: Optional[HostFaultPlan] = None,
         heartbeat_misses: int = 3,
     ) -> None:
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        super().__init__(max_retries=max_retries, capture_metrics=capture_metrics)
         if heartbeat_misses < 1:
             raise ValueError("heartbeat_misses must be >= 1")
         if chunk_size is not None and chunk_size < 1:
@@ -146,8 +145,6 @@ class DispatchExecutor:
         self.pool = pool if pool is not None else LocalHostPool(hosts)
         self.workers = len(self.pool.host_ids())
         self.chunk_size = chunk_size
-        self.max_retries = max_retries
-        self.capture_metrics = capture_metrics
         self.fault_plan = fault_plan if fault_plan is not None else HostFaultPlan()
         self.heartbeat_misses = heartbeat_misses
         self._timeline: List[TraceEvent] = []
@@ -183,6 +180,12 @@ class DispatchExecutor:
     def run(self, spec: SweepSpec, progress: Optional[ProgressHook] = None) -> SweepResult:
         total = len(spec)
         self.fault_plan.validate(self.workers)
+        for fault in self.fault_plan.faults:
+            if fault.kind not in self.pool.supported_faults:
+                raise ValueError(
+                    f"{type(self.pool).__name__} cannot inject {fault.label()}: "
+                    f"it supports only {', '.join(self.pool.supported_faults)} faults"
+                )
         started = time.perf_counter()
         metrics = SweepMetrics(workers=self.workers, points_total=total)
         obs = obs_runtime.metrics()
@@ -225,12 +228,6 @@ class DispatchExecutor:
 
         def submit(host: int, point: SweepPoint) -> None:
             attempts[point.index] += 1
-            if attempts[point.index] > self.max_retries + 1:
-                raise SweepExecutionError(
-                    f"point {point.label()} exhausted its attempt budget "
-                    f"({attempts[point.index] - 1} attempts) across host failures",
-                    indices=(point.index,),
-                )
             self.pool.submit(
                 host,
                 WorkUnit(
@@ -252,14 +249,17 @@ class DispatchExecutor:
             if not indices:
                 return
             if not alive:
+                remaining = sorted(set(points_by_index) - set(acked))
                 raise SweepExecutionError(
-                    f"all hosts lost with {len(indices)} points unfinished "
-                    f"({reason}): {sorted(indices)}",
-                    indices=sorted(indices),
+                    f"all hosts lost with {len(remaining)} points unfinished "
+                    f"({reason}): {remaining}",
+                    indices=remaining,
                 )
             for index in sorted(indices):
+                point = points_by_index[index]
+                self._check_budget(point, attempts[index], reason)
                 target = min(alive, key=lambda h: (len(ledger[h]), h))
-                submit(target, points_by_index[index])
+                submit(target, point)
                 releases.inc()
             self._timeline.append(
                 TraceEvent(
@@ -365,30 +365,14 @@ class DispatchExecutor:
             if self._own_pool:
                 self.pool.close()
 
-        metrics.wall_time = time.perf_counter() - started
-        merged = merge_records(list(acked.values()), total)
-        self._emit(
-            progress,
-            ProgressEvent(
-                SWEEP_DONE,
-                metrics.points_completed,
-                total,
-                detail=metrics.summary(),
-                elapsed=metrics.wall_time,
-            ),
-        )
+        result = self._finish(spec, acked, metrics, started, progress)
         self._timeline.append(
             TraceEvent(step, "dispatch", "sweep-done", INSTANT,
                        args={"summary": metrics.summary()})
         )
-        return SweepResult(spec=spec, records=merged, metrics=metrics)
+        return result
 
     # -- helpers -----------------------------------------------------------
-
-    @staticmethod
-    def _emit(progress: Optional[ProgressHook], event: ProgressEvent) -> None:
-        if progress is not None:
-            progress(event)
 
     def _inject(
         self,
@@ -494,12 +478,7 @@ class DispatchExecutor:
             self._fleet[host]["errors"] += 1
             if reply.index in ledger[host]:
                 ledger[host].remove(reply.index)
-            if attempts[reply.index] >= self.max_retries + 1:
-                raise SweepExecutionError(
-                    f"point {point.label()} failed after "
-                    f"{attempts[reply.index]} attempts: {reply.error}",
-                    indices=(reply.index,),
-                )
+            self._check_budget(point, attempts[reply.index], reply.error)
             metrics.retries += 1
             self._emit(
                 progress,

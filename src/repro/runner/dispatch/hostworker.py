@@ -27,7 +27,7 @@ import time
 import repro.runner  # noqa: F401
 from repro.obs.telemetry import current_rss_kb, peak_rss_kb
 from repro.runner.dispatch import wire
-from repro.runner.executors import _execute_point
+from repro.runner.execute import _execute_point
 
 
 def host_telemetry(points_done: int, started: float) -> dict:

@@ -3,8 +3,12 @@
 Each host is a ``python -m repro.runner.dispatch.hostworker`` child
 speaking the line-oriented wire protocol over stdin/stdout.  This is
 the smallest transport that crosses a genuine process boundary -- the
-shape an ssh- or queue-backed transport will take -- while staying
-runnable in CI.
+shape an ssh- or queue-backed transport will take -- and the one
+``run_sweep(workers=N)`` and ``repro sweep --workers N`` run on.  Each
+step first hands every live host without work in flight its next
+queued unit, then waits on one host's reply, so hosts compute
+concurrently.  Replies are awaited with ``select`` on the pipes, so
+this transport runs on POSIX only.
 
 Only importable point functions are visible to subprocess hosts (each
 child starts from a fresh interpreter and imports
@@ -177,19 +181,25 @@ class SubprocessHostPool(HostPool):
         target.queue.append(unit)
 
     def step(self, host: int) -> Optional[HostReply]:
+        # Feed every idle host before waiting on this one, so no host
+        # sits without work while another host's reply is awaited.
+        for other in self._hosts.values():
+            if other.in_flight is None and other.queue and other.alive():
+                unit = other.queue.popleft()
+                if other.send(unit.to_wire()):
+                    other.in_flight = unit
+                else:
+                    # The pipe died between poll() and write: put the
+                    # unit back so the dispatcher's ledger and our
+                    # queue agree.
+                    other.queue.appendleft(unit)
         target = self._hosts[host]
         if not target.alive():
             return None
         if target.in_flight is None:
-            if not target.queue:
-                return HostReply(host=host, kind=REPLY_IDLE)
-            unit = target.queue.popleft()
-            if not target.send(unit.to_wire()):
-                # The pipe died between poll() and write: put the unit
-                # back so the dispatcher's ledger and our queue agree.
-                target.queue.appendleft(unit)
+            if target.queue:  # the send above failed
                 return None
-            target.in_flight = unit
+            return HostReply(host=host, kind=REPLY_IDLE)
         message = target.read_reply(self.step_timeout)
         if message is None:
             if target.alive():

@@ -25,11 +25,11 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Deque, Dict, List, Mapping, Optional
+from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
-from repro.runner.dispatch.faultplan import KILL, PARTITION, STALL, HostFault
+from repro.runner.dispatch.faultplan import FAULT_KINDS, KILL, PARTITION, STALL, HostFault
 from repro.runner.dispatch.wire import WorkUnit
-from repro.runner.executors import _execute_point
+from repro.runner.execute import _execute_point
 from repro.runner.sweep import PointRecord
 
 #: Reply kinds.
@@ -62,6 +62,10 @@ class HostReply:
 
 class HostPool:
     """Abstract transport: N hosts executing leased work units."""
+
+    #: Fault kinds :meth:`inject` accepts; the dispatcher rejects a
+    #: plan naming any other kind before it leases the first point.
+    supported_faults: Tuple[str, ...] = ()
 
     def host_ids(self) -> List[int]:
         raise NotImplementedError
@@ -170,8 +174,7 @@ class LocalHostPool(HostPool):
     """In-process reference transport: deterministic, thread-free, and
     supporting the full fault vocabulary (kill/stall/partition)."""
 
-    #: Transport capability flag the dispatcher surfaces in errors.
-    supported_faults = (KILL, STALL, PARTITION)
+    supported_faults = FAULT_KINDS
 
     def __init__(self, hosts: int) -> None:
         if hosts < 1:

@@ -117,7 +117,7 @@ class WorkUnit:
 
     def task(self):
         """The executor-layer task tuple (see
-        :func:`repro.runner.executors._execute_point`)."""
+        :func:`repro.runner.execute._execute_point`)."""
         return (
             self.point,
             dict(self.params),

@@ -1,140 +1,37 @@
-"""Sweep executors: serial reference and sharded multiprocessing.
+"""Sweep executors: the serial reference, and :func:`run_sweep`.
 
-Both executors expose the same ``run(spec, progress=...)`` API and are
-interchangeable by construction: a point's record depends only on its
-``(point, params, seed)`` triple (see :mod:`repro.runner.sweep`), and
-the aggregation gate reorders records by point index.  The serial
-executor is the cheap path for tests and small runs; the process
-executor shards points across a worker pool and adds bounded-retry
-handling for failing points and crashed workers.
+Every executor exposes the same ``run(spec, progress=...)`` API and
+they are interchangeable by construction: a point's record depends
+only on its ``(point, params, seed)`` triple (see
+:mod:`repro.runner.sweep`), and the aggregation gate reorders records
+by point index.  :class:`SerialExecutor` runs every point in this
+process, one at a time; it is the reference the tests hold the
+parallel path to, and it resolves point functions registered anywhere
+in the process.  The one parallel executor is
+:class:`~repro.runner.dispatch.DispatchExecutor`: :func:`run_sweep`
+runs it over ``workers`` subprocess hosts, with one retry model
+(bounded re-leases) and one failure model (silence, then re-lease).
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
-import multiprocessing
-
+from repro.runner.dispatch import DispatchExecutor, SubprocessHostPool
+from repro.runner.execute import (  # noqa: F401 - re-exported
+    SweepExecutionError,
+    _execute_point,
+    _ExecutorBase,
+)
 from repro.runner.progress import (
     POINT_DONE,
     POINT_RETRY,
-    POOL_RESTART,
-    SWEEP_DONE,
     SWEEP_START,
     ProgressEvent,
     ProgressHook,
 )
-from repro.runner.registry import resolve_point
-from repro.runner.sweep import (
-    PointRecord,
-    SweepMetrics,
-    SweepPoint,
-    SweepResult,
-    SweepSpec,
-    merge_records,
-)
-
-#: One bundled point execution request; plain data so it pickles.
-#: The trailing flag asks the executing process to capture a per-point
-#: metrics snapshot into the record.
-_Task = Tuple[str, Dict[str, Any], int, int, int, bool]
-
-
-class SweepExecutionError(RuntimeError):
-    """A point kept failing after its retry budget was spent.
-
-    ``indices`` names the sweep point indices that could not be
-    completed, so callers (and CI logs) can identify the failing cells
-    without parsing the message.
-    """
-
-    def __init__(self, message: str, indices: Sequence[int] = ()) -> None:
-        super().__init__(message)
-        self.indices: Tuple[int, ...] = tuple(indices)
-
-
-def _execute_point(task: _Task) -> PointRecord:
-    """Run one point in the current process (worker or serial caller).
-
-    Top-level so the parallel executor can ship it to workers; the
-    record's ``values`` depend only on (point, params, seed) while
-    ``wall_time``/``worker``/``attempts``/``metrics`` are
-    observability metadata.  Metrics capture activates a fresh
-    per-point registry around the point function (leaving any ambient
-    tracer in place), so snapshots never mix across points or workers.
-    """
-    point_name, params, seed, index, attempt, capture = task
-    fn = resolve_point(point_name)
-    start = time.perf_counter()
-    snapshot = None
-    if capture:
-        from repro.obs import runtime as obs_runtime
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        with obs_runtime.activated(metrics=registry):
-            values = fn(params, seed)
-        snapshot = registry.snapshot()
-    else:
-        values = fn(params, seed)
-    return PointRecord(
-        index=index,
-        point=point_name,
-        params=params,
-        seed=seed,
-        values=dict(values),
-        wall_time=time.perf_counter() - start,
-        worker=f"pid:{os.getpid()}",
-        attempts=attempt,
-        metrics=snapshot,
-    )
-
-
-def _task_for(point: SweepPoint, attempt: int, capture: bool = False) -> _Task:
-    return (point.point, dict(point.params), point.seed, point.index, attempt, capture)
-
-
-class _ExecutorBase:
-    """Shared retry bookkeeping and progress emission."""
-
-    def __init__(self, max_retries: int = 2, capture_metrics: bool = False) -> None:
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        self.max_retries = max_retries
-        self.capture_metrics = capture_metrics
-
-    @staticmethod
-    def _emit(progress: Optional[ProgressHook], event: ProgressEvent) -> None:
-        if progress is not None:
-            progress(event)
-
-    def _attempts_allowed(self) -> int:
-        return self.max_retries + 1
-
-    def _finish(
-        self,
-        spec: SweepSpec,
-        records: Mapping[int, PointRecord],
-        metrics: SweepMetrics,
-        started: float,
-        progress: Optional[ProgressHook],
-    ) -> SweepResult:
-        metrics.wall_time = time.perf_counter() - started
-        merged = merge_records(list(records.values()), len(spec))
-        self._emit(
-            progress,
-            ProgressEvent(
-                kind=SWEEP_DONE,
-                completed=metrics.points_completed,
-                total=metrics.points_total,
-                detail=metrics.summary(),
-                elapsed=metrics.wall_time,
-            ),
-        )
-        return SweepResult(spec=spec, records=merged, metrics=metrics)
+from repro.runner.sweep import PointRecord, SweepMetrics, SweepResult, SweepSpec
 
 
 class SerialExecutor(_ExecutorBase):
@@ -150,17 +47,15 @@ class SerialExecutor(_ExecutorBase):
         self._emit(progress, ProgressEvent(SWEEP_START, 0, len(spec)))
         records: Dict[int, PointRecord] = {}
         for point in spec.points:
-            for attempt in range(1, self._attempts_allowed() + 1):
+            for attempt in range(1, self.max_retries + 2):
+                task = (
+                    point.point, dict(point.params), point.seed, point.index,
+                    attempt, self.capture_metrics,
+                )
                 try:
-                    record = _execute_point(
-                        _task_for(point, attempt, self.capture_metrics)
-                    )
+                    record = _execute_point(task)
                 except Exception as exc:
-                    if attempt >= self._attempts_allowed():
-                        raise SweepExecutionError(
-                            f"point {point.label()} failed after {attempt} attempts",
-                            indices=(point.index,),
-                        ) from exc
+                    self._check_budget(point, attempt, repr(exc))
                     metrics.retries += 1
                     self._emit(
                         progress,
@@ -192,164 +87,30 @@ class SerialExecutor(_ExecutorBase):
         return self._finish(spec, records, metrics, started, progress)
 
 
-class ProcessExecutor(_ExecutorBase):
-    """Shard points across a ``multiprocessing`` pool.
-
-    Failure handling is bounded-retry at two levels: a point whose
-    function raises is resubmitted up to ``max_retries`` times, and a
-    worker crash hard enough to break the pool (``os._exit``, signal)
-    triggers a pool restart with every unfinished point resubmitted.
-    Either way a point that keeps failing surfaces as
-    :class:`SweepExecutionError` instead of hanging the sweep.
-
-    The default ``fork`` start method (on platforms that support it)
-    keeps locally registered point functions visible to workers; pass
-    ``mp_context="spawn"`` for importable-only registries.
-    """
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        max_retries: int = 2,
-        mp_context: Optional[str] = None,
-        capture_metrics: bool = False,
-    ) -> None:
-        super().__init__(max_retries=max_retries, capture_metrics=capture_metrics)
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else methods[0]
-        self._mp_context = mp_context
-
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=multiprocessing.get_context(self._mp_context),
-        )
-
-    def run(self, spec: SweepSpec, progress: Optional[ProgressHook] = None) -> SweepResult:
-        started = time.perf_counter()
-        metrics = SweepMetrics(workers=self.workers, points_total=len(spec))
-        self._emit(progress, ProgressEvent(SWEEP_START, 0, len(spec)))
-        records: Dict[int, PointRecord] = {}
-        attempts: Dict[int, int] = {point.index: 0 for point in spec.points}
-        pending: List[SweepPoint] = list(spec.points)
-        pool = self._new_pool()
-        try:
-            while pending:
-                futures = {}
-                for point in pending:
-                    attempts[point.index] += 1
-                    futures[
-                        pool.submit(
-                            _task_wrapper,
-                            _task_for(point, attempts[point.index], self.capture_metrics),
-                        )
-                    ] = point
-                retry_round: List[SweepPoint] = []
-                pool_broken: Optional[BaseException] = None
-                for future in as_completed(futures):
-                    point = futures[future]
-                    try:
-                        record = future.result()
-                    except BrokenExecutor as exc:
-                        # The whole pool died; every in-flight point
-                        # lands here.  Resubmit survivors, bounded by
-                        # the same per-point attempt budget.
-                        pool_broken = exc
-                        if attempts[point.index] >= self._attempts_allowed():
-                            raise SweepExecutionError(
-                                f"point {point.label()} kept crashing its worker "
-                                f"({attempts[point.index]} attempts)",
-                                indices=(point.index,),
-                            ) from exc
-                        retry_round.append(point)
-                    except Exception as exc:
-                        if attempts[point.index] >= self._attempts_allowed():
-                            raise SweepExecutionError(
-                                f"point {point.label()} failed after "
-                                f"{attempts[point.index]} attempts",
-                                indices=(point.index,),
-                            ) from exc
-                        metrics.retries += 1
-                        self._emit(
-                            progress,
-                            ProgressEvent(
-                                POINT_RETRY,
-                                metrics.points_completed,
-                                len(spec),
-                                point=point,
-                                detail=repr(exc),
-                                elapsed=time.perf_counter() - started,
-                            ),
-                        )
-                        retry_round.append(point)
-                    else:
-                        records[point.index] = record
-                        metrics.points_completed += 1
-                        metrics.point_wall_times.append(record.wall_time)
-                        self._emit(
-                            progress,
-                            ProgressEvent(
-                                POINT_DONE,
-                                metrics.points_completed,
-                                len(spec),
-                                point=point,
-                                record=record,
-                                elapsed=time.perf_counter() - started,
-                            ),
-                        )
-                if pool_broken is not None:
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    pool = self._new_pool()
-                    metrics.pool_restarts += 1
-                    self._emit(
-                        progress,
-                        ProgressEvent(
-                            POOL_RESTART,
-                            metrics.points_completed,
-                            len(spec),
-                            detail=repr(pool_broken),
-                            elapsed=time.perf_counter() - started,
-                        ),
-                    )
-                pending = sorted(retry_round, key=lambda p: p.index)
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-        return self._finish(spec, records, metrics, started, progress)
-
-
-def _task_wrapper(task: _Task) -> PointRecord:
-    """Worker-side entry point (separate name so tracebacks read
-    clearly in retry diagnostics)."""
-    return _execute_point(task)
-
-
 def run_sweep(
     spec: SweepSpec,
     workers: int = 1,
     max_retries: int = 2,
     progress: Optional[ProgressHook] = None,
-    mp_context: Optional[str] = None,
     capture_metrics: bool = False,
 ) -> SweepResult:
-    """Run ``spec`` with the executor matching ``workers``: serial for
-    1 (no process machinery at all), sharded otherwise.
+    """Run ``spec`` serially in this process for ``workers`` 1, else
+    through the dispatcher on ``workers`` subprocess hosts, which are
+    stopped before this returns.
 
-    ``capture_metrics`` snapshots a fresh per-point metrics registry
-    into each record (see :meth:`SweepResult.merged_metrics`); it is
-    observability metadata and cannot change the records' values.
+    Subprocess hosts resolve only the library's point functions
+    (:mod:`repro.runner.points`); one registered in this process alone
+    fails there as an unknown point function.  ``capture_metrics``
+    snapshots a fresh per-point metrics registry into each record (see
+    :meth:`SweepResult.merged_metrics`); it is observability metadata
+    and cannot change the records' values.
     """
     if workers <= 1:
         return SerialExecutor(
             max_retries=max_retries, capture_metrics=capture_metrics
         ).run(spec, progress=progress)
-    executor = ProcessExecutor(
-        workers=workers,
-        max_retries=max_retries,
-        mp_context=mp_context,
-        capture_metrics=capture_metrics,
-    )
-    return executor.run(spec, progress=progress)
+    with SubprocessHostPool(workers) as pool:
+        executor = DispatchExecutor(
+            pool=pool, max_retries=max_retries, capture_metrics=capture_metrics
+        )
+        return executor.run(spec, progress=progress)

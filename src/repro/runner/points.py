@@ -7,7 +7,7 @@ Two families of work are fanned out here:
   configuration -- the paper's Section 6.1 methodology, which pins
   measured differences on the parameters rather than churn.  The
   capture is deterministic given its ``capture_seed`` parameter, so
-  each worker process rebuilds it once and memoizes it; cells then
+  each host process rebuilds it once and memoizes it; cells then
   shard freely.
 
 * **Ratio crawls** (Figure 3 / Table 4 C-row style): every point runs
@@ -43,8 +43,8 @@ from repro.workloads.scenarios import (
 # -- shared capture, memoized per process ---------------------------------
 
 #: (capture kind, canonical params) -> (dataset, ground-truth crawler IPs).
-#: Per-process: each pool worker pays one capture build, then serves
-#: every detection cell sharded to it from memory.
+#: Per-process: each host pays one capture build, then serves every
+#: detection cell sharded to it from memory.
 _CAPTURE_CACHE: Dict[Tuple[Any, ...], Tuple[SensorLogDataset, Set[int]]] = {}
 
 _CAPTURE_KEYS = (

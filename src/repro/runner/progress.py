@@ -17,7 +17,6 @@ from repro.runner.sweep import PointRecord, SweepPoint
 SWEEP_START = "sweep-start"
 POINT_DONE = "point-done"
 POINT_RETRY = "point-retry"
-POOL_RESTART = "pool-restart"
 #: Dispatcher-only kinds: a plan fault fired; a host was declared
 #: lost (heartbeat budget exhausted) and its lease re-issued; a host
 #: reported a telemetry snapshot (advisory, for live fleet views).
@@ -69,8 +68,6 @@ class ConsoleProgress:
             )
         elif event.kind == POINT_RETRY and event.point is not None:
             line = f"retry {event.point.label()}: {event.detail}"
-        elif event.kind == POOL_RESTART:
-            line = f"worker pool restarted: {event.detail}"
         elif event.kind == HOST_FAULT:
             line = f"host fault injected: {event.detail}"
         elif event.kind == HOST_LOST:

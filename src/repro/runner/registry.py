@@ -1,17 +1,20 @@
 """Point-function registry.
 
 Sweep points reference their work by *name* rather than by callable so
-a point can cross a process boundary as plain data.  Workers resolve
-the name back to a function at execution time; under the default fork
-start method, functions registered before the pool spins up (including
-test-local closures) are visible in every worker.
+a point can cross a process boundary as plain data.  Hosts resolve
+the name back to a function at execution time.  A subprocess host
+sees the functions its fresh interpreter registers on import (the
+library's, :mod:`repro.runner.points`); one registered later in the
+calling process, such as a test-local closure, resolves only in that
+process: serially or on in-process hosts.
 
 A point function has the signature::
 
     fn(params: Mapping[str, Any], seed: int) -> Mapping[str, Any]
 
-It must draw all randomness from ``seed`` and return a plain picklable
-mapping; the runner guarantees nothing else about its environment.
+It must draw all randomness from ``seed`` and return a plain
+JSON-encodable mapping; the runner guarantees nothing else about its
+environment.
 """
 
 from __future__ import annotations

@@ -36,8 +36,8 @@ class SweepPoint:
     """One cell of a parameter sweep.
 
     ``point`` names a function in :mod:`repro.runner.registry`;
-    ``params`` must be a plain picklable mapping (it crosses process
-    boundaries under the parallel executor).
+    ``params`` must be a plain JSON-encodable mapping (it crosses the
+    wire to subprocess hosts).
     """
 
     index: int

@@ -13,11 +13,7 @@ from repro.obs.export import (
     write_jsonl,
     write_metrics,
 )
-from repro.obs.instrument import (
-    CallbackProfile,
-    ObsSession,
-    instrument_scheduler,
-)
+from repro.obs.instrument import ObsSession, instrument_scheduler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.sim.scheduler import Scheduler
@@ -148,36 +144,12 @@ class TestInstrumentScheduler:
     def test_stats_surface_as_gauges(self):
         sched = Scheduler()
         registry = MetricsRegistry()
-        instrument_scheduler(sched, registry, profile=False)
+        instrument_scheduler(sched, registry)
         sched.call_later(1.0, lambda: None)
         sched.run()
         snap = registry.snapshot()
         assert snap["sched.dispatched"]["values"][""] == 1
         assert snap["sched.peak_heap"]["values"][""] == 1
-
-    def test_callback_profile_labels_by_qualname(self):
-        registry = MetricsRegistry()
-        profile = CallbackProfile(registry)
-
-        def tick():
-            pass
-
-        profile.record(tick, 0.001)
-        profile.record(tick, 0.002)
-        snap = registry.snapshot()["sched.callback_wall_seconds"]["values"]
-        (label,) = snap.keys()
-        assert "tick" in label
-        assert snap[label]["count"] == 2
-
-    def test_scheduler_profile_records_dispatches(self):
-        sched = Scheduler()
-        registry = MetricsRegistry()
-        instrument_scheduler(sched, registry)
-        sched.call_later(1.0, lambda: None)
-        sched.call_later(2.0, lambda: None)
-        sched.run()
-        values = registry.snapshot()["sched.callback_wall_seconds"]["values"]
-        assert sum(v["count"] for v in values.values()) == 2
 
 
 class TestObsSession:

@@ -1,12 +1,31 @@
 """Shared test point functions for the runner suite.
 
 Registered at conftest import so every module in tests/runner/ (and
-any forked worker process) can resolve them by name.
+the in-process hosts of a ``LocalHostPool``) can resolve them by name.
+Subprocess hosts cannot: they import only the library's points.
 """
 
 import os
+import subprocess
+
+import pytest
 
 from repro.runner.registry import register_point
+
+
+@pytest.fixture
+def spawned_hosts(monkeypatch):
+    """Every process the test starts (the subprocess hosts among
+    them), so a test can check that none is left running."""
+    procs = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    return procs
 
 
 @register_point("t-square")
@@ -17,25 +36,13 @@ def _square(params, seed):
 @register_point("t-flaky")
 def _flaky(params, seed):
     # Fails until its marker file exists; the first attempt creates it,
-    # so attempt 2 succeeds -- in this process or any forked worker.
+    # so attempt 2 succeeds.
     marker = params["marker"]
     if not os.path.exists(marker):
         with open(marker, "w") as handle:
             handle.write("attempted")
         raise RuntimeError("flaky point: first attempt fails")
     return {"x": params["x"], "recovered": True}
-
-
-@register_point("t-hard-crash")
-def _hard_crash(params, seed):
-    # Kills the worker outright (no exception, no cleanup) on the
-    # first attempt: exercises BrokenExecutor pool recovery.
-    marker = params["marker"]
-    if not os.path.exists(marker):
-        with open(marker, "w") as handle:
-            handle.write("crashed")
-        os._exit(17)
-    return {"x": params["x"], "survived": True}
 
 
 @register_point("t-always-fail")

@@ -18,7 +18,6 @@ from repro.runner.dispatch import (
     LocalHostPool,
     chunk_leases,
     default_chunk_size,
-    dispatch_sweep,
     parse_host_faults,
     sample_fault_plan,
 )
@@ -76,7 +75,7 @@ class TestSerialEquivalence:
     def test_plain_dispatch_matches_serial(self):
         spec = _spec()
         serial = SerialExecutor().run(spec)
-        dispatched = dispatch_sweep(spec, hosts=3)
+        dispatched = DispatchExecutor(hosts=3).run(spec)
         assert _payload(dispatched) == _payload(serial)
         assert [r.seed for r in dispatched.records] == [
             r.seed for r in serial.records
@@ -84,16 +83,16 @@ class TestSerialEquivalence:
 
     def test_single_host_matches_serial(self):
         spec = _spec(n=5)
-        assert _payload(dispatch_sweep(spec, hosts=1)) == _payload(
+        assert _payload(DispatchExecutor(hosts=1).run(spec)) == _payload(
             SerialExecutor().run(spec)
         )
 
     def test_kill_mid_run_matches_serial(self):
         spec = _spec()
         serial = SerialExecutor().run(spec)
-        result = dispatch_sweep(
-            spec, hosts=3, fault_plan=parse_host_faults("kill:1@0.5")
-        )
+        result = DispatchExecutor(
+            hosts=3, fault_plan=parse_host_faults("kill:1@0.5")
+        ).run(spec)
         assert _payload(result) == _payload(serial)
         assert result.metrics.pool_restarts == 1  # one host declared lost
 
@@ -101,28 +100,28 @@ class TestSerialEquivalence:
         spec = _spec()
         serial = SerialExecutor().run(spec)
         plan = parse_host_faults("stall:0@0.2x6,partition:2@0.4x4")
-        result = dispatch_sweep(spec, hosts=3, fault_plan=plan, max_retries=4)
+        result = DispatchExecutor(hosts=3, fault_plan=plan, max_retries=4).run(spec)
         assert _payload(result) == _payload(serial)
 
     def test_short_stall_recovers_without_host_loss(self):
         spec = _spec()
         plan = parse_host_faults("stall:1@0.3x2")
-        result = dispatch_sweep(spec, hosts=3, fault_plan=plan, heartbeat_misses=4)
+        result = DispatchExecutor(hosts=3, fault_plan=plan, heartbeat_misses=4).run(spec)
         assert _payload(result) == _payload(SerialExecutor().run(spec))
         assert result.metrics.pool_restarts == 0  # stall < miss budget
 
     def test_long_stall_is_operationally_a_kill(self):
         spec = _spec()
         plan = parse_host_faults("stall:1@0.3x20")
-        result = dispatch_sweep(spec, hosts=3, fault_plan=plan, heartbeat_misses=3)
+        result = DispatchExecutor(hosts=3, fault_plan=plan, heartbeat_misses=3).run(spec)
         assert _payload(result) == _payload(SerialExecutor().run(spec))
         assert result.metrics.pool_restarts == 1
 
     def test_dispatch_is_deterministic_run_to_run(self):
         spec = _spec()
         plan = sample_fault_plan(11, hosts=3)
-        a = dispatch_sweep(spec, hosts=3, fault_plan=plan, max_retries=6)
-        b = dispatch_sweep(spec, hosts=3, fault_plan=plan, max_retries=6)
+        a = DispatchExecutor(hosts=3, fault_plan=plan, max_retries=6).run(spec)
+        b = DispatchExecutor(hosts=3, fault_plan=plan, max_retries=6).run(spec)
         assert _payload(a) == _payload(b)
         assert a.metrics.retries == b.metrics.retries
         assert a.metrics.pool_restarts == b.metrics.pool_restarts
@@ -134,7 +133,7 @@ class TestFailurePaths:
             faults=tuple(HostFault(KILL, host=h, at_progress=0.0) for h in range(2))
         )
         with pytest.raises(ValueError, match="kills every host"):
-            dispatch_sweep(_spec(), hosts=2, fault_plan=plan)
+            DispatchExecutor(hosts=2, fault_plan=plan).run(_spec())
 
     def test_budget_exhaustion_surfaces_indices(self):
         spec = SweepSpec(
@@ -143,7 +142,7 @@ class TestFailurePaths:
             points=make_points(0, "t-always-fail", [{}]),
         )
         with pytest.raises(SweepExecutionError) as excinfo:
-            dispatch_sweep(spec, hosts=2, max_retries=1)
+            DispatchExecutor(hosts=2, max_retries=1).run(spec)
         assert excinfo.value.indices == (0,)
 
     def test_failing_point_retried_then_raises(self):
@@ -158,7 +157,7 @@ class TestFailurePaths:
             ),
         )
         with pytest.raises(SweepExecutionError) as excinfo:
-            dispatch_sweep(spec, hosts=2, max_retries=2)
+            DispatchExecutor(hosts=2, max_retries=2).run(spec)
         assert excinfo.value.indices == (1,)
 
     def test_flaky_point_recovers_inside_dispatch(self, tmp_path):
@@ -174,9 +173,25 @@ class TestFailurePaths:
                 ),
             ),
         )
-        result = dispatch_sweep(spec, hosts=2, max_retries=2)
+        result = DispatchExecutor(hosts=2, max_retries=2).run(spec)
         assert result.values()[0]["recovered"] is True
         assert result.metrics.retries >= 1
+
+    def test_losing_every_host_names_every_unfinished_point(self):
+        spec = _spec()
+        done = []
+
+        def progress(event):
+            if event.kind == POINT_DONE:
+                done.append(event.record.index)
+
+        plan = parse_host_faults("kill:0@0,stall:1@0.25x1000")
+        with pytest.raises(SweepExecutionError, match="all hosts lost") as excinfo:
+            DispatchExecutor(hosts=2, fault_plan=plan).run(spec, progress=progress)
+        unfinished = sorted(set(range(len(spec))) - set(done))
+        assert 0 < len(unfinished) < len(spec)
+        assert list(excinfo.value.indices) == unfinished
+        assert str(unfinished) in str(excinfo.value)
 
     def test_validation_of_knobs(self):
         with pytest.raises(ValueError):
@@ -191,12 +206,9 @@ class TestProgressAndTimeline:
     def test_progress_lifecycle_with_host_loss(self):
         events = []
         spec = _spec()
-        dispatch_sweep(
-            spec,
-            hosts=3,
-            fault_plan=parse_host_faults("kill:1@0.5"),
-            progress=events.append,
-        )
+        DispatchExecutor(
+            hosts=3, fault_plan=parse_host_faults("kill:1@0.5")
+        ).run(spec, progress=events.append)
         kinds = [event.kind for event in events]
         assert kinds[0] == SWEEP_START
         assert kinds[-1] == SWEEP_DONE
@@ -239,9 +251,9 @@ class TestProgressAndTimeline:
         registry = MetricsRegistry()
         spec = _spec()
         with obs_runtime.activated(metrics=registry):
-            dispatch_sweep(
-                spec, hosts=3, fault_plan=parse_host_faults("kill:1@0.5")
-            )
+            DispatchExecutor(
+                hosts=3, fault_plan=parse_host_faults("kill:1@0.5")
+            ).run(spec)
         snapshot = registry.snapshot()
         assert snapshot["dispatch.acks"]["values"][""] == len(spec)
         assert snapshot["dispatch.hosts_lost"]["values"][""] == 1
@@ -252,12 +264,11 @@ class TestProgressAndTimeline:
 class TestCaptureMetricsThroughDispatch:
     def test_per_point_snapshots_survive_host_loss(self):
         spec = _spec(n=6)
-        result = dispatch_sweep(
-            spec,
+        result = DispatchExecutor(
             hosts=2,
             capture_metrics=True,
             fault_plan=parse_host_faults("kill:0@0.5"),
-        )
+        ).run(spec)
         assert all(record.metrics is not None for record in result.records)
 
 
@@ -274,9 +285,9 @@ class TestExternalPool:
         plan = HostFaultPlan(
             faults=(HostFault(PARTITION, host=0, at_progress=0.0, duration=2),)
         )
-        result = dispatch_sweep(
-            spec, hosts=2, fault_plan=plan, heartbeat_misses=5, max_retries=4
-        )
+        result = DispatchExecutor(
+            hosts=2, fault_plan=plan, heartbeat_misses=5, max_retries=4
+        ).run(spec)
         assert _payload(result) == _payload(SerialExecutor().run(spec))
         # The partitioned host executed work whose acks were lost; those
         # points were re-leased.

@@ -15,8 +15,10 @@ from repro.runner.dispatch import wire
 from repro.runner.dispatch.faultplan import KILL, STALL, HostFault
 from repro.runner.dispatch.hostworker import serve
 from repro.runner.dispatch.subproc import SubprocessHostPool, worker_env
+from repro.runner.dispatch.transport import REPLY_RECORD
 from repro.runner.dispatch.wire import WorkUnit
 from repro.runner.executors import SerialExecutor
+from repro.runner.progress import POINT_DONE
 from repro.runner.sweep import SweepSpec, make_points, point_seed
 
 
@@ -140,6 +142,32 @@ class TestSubprocessPool:
             result = executor.run(spec)
         assert json.dumps(result.values()) == json.dumps(serial.values())
         assert result.metrics.pool_restarts == 1
+
+    def test_step_feeds_every_idle_host_first(self):
+        units = [
+            WorkUnit(point="echo", params={"x": i}, seed=point_seed(5, i),
+                     index=i, attempt=1)
+            for i in range(2)
+        ]
+        with SubprocessHostPool(hosts=2) as pool:
+            pool.submit(0, units[0])
+            pool.submit(1, units[1])
+            assert pool.step(0).kind == REPLY_RECORD
+            # Host 1's unit went out before the wait on host 0.
+            assert pool._hosts[1].in_flight == units[1]
+            assert pool.step(1).record.index == 1
+
+    def test_unsupported_fault_rejected_before_any_point(self):
+        from repro.runner.dispatch import DispatchExecutor, parse_host_faults
+
+        events = []
+        with SubprocessHostPool(hosts=1) as pool:
+            executor = DispatchExecutor(
+                pool=pool, fault_plan=parse_host_faults("stall:0@0.5x3")
+            )
+            with pytest.raises(ValueError, match="supports only kill"):
+                executor.run(_echo_spec(n=4), progress=events.append)
+        assert POINT_DONE not in [event.kind for event in events]
 
     def test_stall_fault_unsupported(self):
         with SubprocessHostPool(hosts=1) as pool:

@@ -1,21 +1,17 @@
-"""Executor tests: serial/parallel equivalence, retries, crash
-recovery, and progress reporting.
+"""Executor tests: the serial reference, retries, ``run_sweep``'s
+choice of executor, and progress reporting.
 
-The worker-pool tests rely on the default ``fork`` start method so
-point functions registered by this module are visible to workers.
+The parallel path is the dispatcher; its retry, host-loss and crash
+recovery tests live in ``tests/runner/dispatch/``.
 """
-
-import os
 
 import pytest
 
-from repro.runner.executors import (
-    ProcessExecutor,
-    SerialExecutor,
-    SweepExecutionError,
-    run_sweep,
-)
+from repro.runner.executors import SerialExecutor, SweepExecutionError, run_sweep
 from repro.runner.progress import (
+    HOST_FAULT,
+    HOST_LOST,
+    HOST_TELEMETRY,
     POINT_DONE,
     POINT_RETRY,
     SWEEP_DONE,
@@ -32,6 +28,16 @@ def _square_spec(n=6, root_seed=3):
         name="squares",
         root_seed=root_seed,
         points=make_points(root_seed, "t-square", [{"x": i} for i in range(n)]),
+    )
+
+
+def _echo_spec(n, root_seed=3):
+    # The library's ``echo`` point: subprocess hosts can resolve it,
+    # unlike the test-local ``t-square``.
+    return SweepSpec(
+        name="echo",
+        root_seed=root_seed,
+        points=make_points(root_seed, "echo", [{"x": i} for i in range(n)]),
     )
 
 
@@ -95,105 +101,6 @@ class TestSerialExecutor:
             SerialExecutor(max_retries=-1)
 
 
-class TestProcessExecutor:
-    def test_matches_serial_results(self):
-        spec = _square_spec(n=10)
-        serial = SerialExecutor().run(spec)
-        parallel = ProcessExecutor(workers=3).run(spec)
-        assert serial.values() == parallel.values()
-        assert parallel.metrics.workers == 3
-
-    def test_worker_count_validation(self):
-        with pytest.raises(ValueError):
-            ProcessExecutor(workers=0)
-
-    def test_retry_in_worker(self, tmp_path):
-        points = [{"x": 0, "marker": str(tmp_path / "w0")}]
-        spec = SweepSpec(
-            name="flaky", root_seed=0, points=make_points(0, "t-flaky", points)
-        )
-        result = ProcessExecutor(workers=2).run(spec)
-        assert result.values()[0]["recovered"] is True
-        assert result.metrics.retries == 1
-
-    def test_hard_crash_recovery(self, tmp_path):
-        # One point kills its worker; healthy points complete and the
-        # pool is rebuilt so the crasher's second attempt succeeds.
-        from repro.runner.sweep import SweepPoint, point_seed
-
-        spec = SweepSpec(
-            name="crashy",
-            root_seed=0,
-            points=(
-                SweepPoint(0, "t-square", {"x": 7}, point_seed(0, 0)),
-                SweepPoint(
-                    1,
-                    "t-hard-crash",
-                    {"x": 1, "marker": str(tmp_path / "crash-once")},
-                    point_seed(0, 1),
-                ),
-            ),
-        )
-        result = ProcessExecutor(workers=2).run(spec)
-        assert result.values()[0]["square"] == 49
-        assert result.values()[1]["survived"] is True
-        assert result.metrics.pool_restarts >= 1
-
-    def test_persistent_crasher_raises(self, tmp_path):
-        from repro.runner.sweep import SweepPoint, point_seed
-
-        # Marker path in a missing directory: creation fails, so the
-        # point crashes the worker on every attempt.
-        spec = SweepSpec(
-            name="doomed",
-            root_seed=0,
-            points=(
-                SweepPoint(
-                    0,
-                    "t-hard-crash",
-                    {"x": 0, "marker": str(tmp_path / "no-dir" / "m")},
-                    point_seed(0, 0),
-                ),
-            ),
-        )
-        with pytest.raises(SweepExecutionError):
-            ProcessExecutor(workers=2, max_retries=1).run(spec)
-
-    def test_exhaustion_reports_failing_index(self):
-        from repro.runner.sweep import SweepPoint, point_seed
-
-        spec = SweepSpec(
-            name="mixed",
-            root_seed=0,
-            points=(
-                SweepPoint(0, "t-square", {"x": 2}, point_seed(0, 0)),
-                SweepPoint(1, "t-always-fail", {}, point_seed(0, 1)),
-                SweepPoint(2, "t-square", {"x": 3}, point_seed(0, 2)),
-            ),
-        )
-        with pytest.raises(SweepExecutionError) as excinfo:
-            ProcessExecutor(workers=2, max_retries=1).run(spec)
-        assert excinfo.value.indices == (1,)
-
-    def test_worker_death_does_not_hang_healthy_points(self, tmp_path):
-        # A worker dying mid-batch must not strand the other points:
-        # the pool is rebuilt, the sweep either completes or raises,
-        # and the error names the unrecoverable point.
-        from repro.runner.sweep import SweepPoint, point_seed
-
-        points = [SweepPoint(i, "t-square", {"x": i}, point_seed(0, i)) for i in range(5)]
-        points[2] = SweepPoint(
-            2,
-            "t-hard-crash",
-            {"x": 2, "marker": str(tmp_path / "no-dir" / "m")},
-            point_seed(0, 2),
-        )
-        spec = SweepSpec(name="crashy", root_seed=0, points=tuple(points))
-        with pytest.raises(SweepExecutionError) as excinfo:
-            ProcessExecutor(workers=2, max_retries=1).run(spec)
-        assert excinfo.value.indices == (2,)
-
-
 class TestSweepExecutionErrorIndices:
     def test_serial_exhaustion_reports_index(self):
         spec = SweepSpec(
@@ -215,8 +122,19 @@ class TestRunSweep:
         assert result.metrics.workers == 1
 
     def test_workers_many_matches_serial(self):
-        spec = _square_spec(n=8)
-        assert run_sweep(spec, workers=1).values() == run_sweep(spec, workers=4).values()
+        spec = _echo_spec(8)
+        parallel = run_sweep(spec, workers=4)
+        assert run_sweep(spec, workers=1).values() == parallel.values()
+        assert parallel.metrics.workers == 4
+
+    def test_test_local_point_unknown_to_subprocess_hosts(self):
+        with pytest.raises(SweepExecutionError, match="unknown point function"):
+            run_sweep(_square_spec(n=2), workers=2)
+
+    def test_no_host_outlives_the_sweep(self, spawned_hosts):
+        run_sweep(_echo_spec(4), workers=2)
+        assert len(spawned_hosts) == 2
+        assert all(proc.poll() is not None for proc in spawned_hosts)
 
 
 class TestProgress:
@@ -259,5 +177,10 @@ class TestProgress:
 
         stream = io.StringIO()
         hook = ConsoleProgress(stream=stream)
-        hook(ProgressEvent(kind="pool-restart", completed=0, total=1, detail="x"))
-        assert "restarted" in stream.getvalue()
+        hook(ProgressEvent(kind=HOST_FAULT, completed=0, total=1, detail="kill:1@0.5"))
+        hook(ProgressEvent(kind=HOST_LOST, completed=0, total=1, detail="host 1"))
+        hook(ProgressEvent(kind=HOST_TELEMETRY, completed=0, total=1, host=1))
+        assert stream.getvalue().splitlines() == [
+            "host fault injected: kill:1@0.5",
+            "host lost: host 1",
+        ]

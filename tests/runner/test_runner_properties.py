@@ -7,7 +7,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runner.dispatch import dispatch_sweep, sample_fault_plan
+from repro.runner.dispatch import DispatchExecutor, sample_fault_plan
 from repro.runner.executors import SerialExecutor
 from repro.runner.sweep import SweepSpec, make_points, merge_records, point_seed
 
@@ -131,7 +131,7 @@ class TestDispatchInvariance:
             name="p", root_seed=root, points=make_points(root, "t-square", params)
         )
         serial = SerialExecutor().run(spec)
-        dispatched = dispatch_sweep(spec, hosts=hosts, chunk_size=chunk_size)
+        dispatched = DispatchExecutor(hosts=hosts, chunk_size=chunk_size).run(spec)
         assert json.dumps(dispatched.values(), sort_keys=True) == json.dumps(
             serial.values(), sort_keys=True
         )
@@ -154,9 +154,9 @@ class TestDispatchInvariance:
         plan = sample_fault_plan(fault_seed, hosts=hosts)
         # A generous retry budget: faults burn attempts, but each point
         # must still land on exactly the same (params, seed) payload.
-        dispatched = dispatch_sweep(
-            spec, hosts=hosts, fault_plan=plan, max_retries=hosts * 2 + 4
-        )
+        dispatched = DispatchExecutor(
+            hosts=hosts, fault_plan=plan, max_retries=hosts * 2 + 4
+        ).run(spec)
         assert json.dumps(dispatched.values(), sort_keys=True) == json.dumps(
             serial.values(), sort_keys=True
         )

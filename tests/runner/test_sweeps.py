@@ -135,6 +135,38 @@ class TestSweepCli:
         assert "Figure 2" in first
         assert first == second
 
+    def test_workers_and_hosts_together_rejected(self, capsys):
+        assert main(["sweep", "fig2", "--workers", "2", "--hosts", "2"]) == 2
+        assert "not both" in capsys.readouterr().err
+
+    def test_host_transport_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "fig2", "--hosts", "2", "--host-transport", "subprocess"])
+        assert excinfo.value.code == 2
+
+    def test_workers_match_serial_and_leave_no_host_running(self, capsys, spawned_hosts):
+        argv = [
+            "sweep", "fig2", "--scale", "tiny", "--ratios", "1", "--json",
+            "--no-progress",
+        ]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert len(spawned_hosts) == 2
+        assert all(proc.poll() is not None for proc in spawned_hosts)
+
+    def test_unsupported_host_fault_exits_before_any_point(self, capsys, spawned_hosts):
+        argv = [
+            "sweep", "fig3-zeus", "--scale", "tiny", "--workers", "2",
+            "--host-faults", "stall:0@0.5x3",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "supports only kill" in err
+        assert "[1/" not in err
+        assert all(proc.poll() is not None for proc in spawned_hosts)
+
     def test_json_output(self, capsys):
         argv = [
             "sweep", "fig3-zeus", "--seed", "4", "--ratios", "1",
