@@ -11,26 +11,53 @@ encoding.  Two consequences the paper leans on:
   in-the-wild crawlers (Section 4.1.3).
 
 Implementation notes: RC4 produces an identical keystream for a fixed
-key, so the keystream for each recipient ID is computed once and
-cached; per-message work is then two big-int XORs.  The chained-XOR
-layer is likewise implemented with shift/XOR on big ints, making the
-whole stack fast enough to encrypt millions of simulated messages.
+key, so the keystream for each key is generated once and cached;
+per-message work is then two big-int XORs.  The chained-XOR layer is
+likewise implemented with shift/XOR on big ints, making the whole stack
+fast enough to encrypt millions of simulated messages.  Keystreams come
+from ``RC4_set_key``/``RC4`` in the libcrypto that CPython's
+``_hashlib`` links, where that library exports them and reproduces an
+RFC 6229 vector; everywhere else from :func:`rc4_keystream`, the
+pure-Python RC4 that the tests also use as the reference.  Both produce
+the same bytes, so the choice changes no simulated byte.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import functools
+import threading
+from typing import Callable, Dict, Optional, Tuple
 
 KEY_LEN = 20
 # Longest message we ever encrypt; cached keystreams grow to at most
 # this length.
 MAX_MESSAGE_LEN = 4096
 
+# RFC 6229, key 0x0102030405, offset 0: the kernel is used only after
+# it reproduces this vector.
+_CHECK_KEY = bytes(range(1, 6))
+_CHECK_STREAM = bytes.fromhex("b2396305f03dc027ccc3524a0a1118a8")
+# Room for OpenSSL's RC4_KEY (x, y and 256 RC4_INTs; 1,032 bytes with
+# 32-bit RC4_INT) at any RC4_INT width up to 64 bits.
+_RC4_KEY_BYTES = 258 * 8
 
-def _rc4_init(key: bytes):
-    """RC4 key schedule: returns the (state, i, j) PRGA start state."""
-    if not key:
-        raise ValueError("empty RC4 key")
+Keystream = Callable[[bytes, int], bytes]
+
+
+def _check_args(key: bytes, length: int) -> None:
+    if type(key) is not bytes or not key:
+        raise ValueError("RC4 key must be non-empty bytes")
+    if not 0 <= length <= MAX_MESSAGE_LEN:
+        raise ValueError(f"keystream length must be in [0, {MAX_MESSAGE_LEN}]: {length}")
+
+
+def rc4_keystream(key: bytes, length: int) -> bytes:
+    """Pure-Python RC4: ``length`` bytes of keystream for ``key``.
+
+    The reference the libcrypto kernel is tested against, and the
+    generator wherever that kernel cannot be loaded.
+    """
+    _check_args(key, length)
     state = list(range(256))
     j = 0
     # Iterating the key repeated past 256 bytes saves a modulo per step.
@@ -39,16 +66,8 @@ def _rc4_init(key: bytes):
         j = (j + si + k) & 0xFF
         state[i] = state[j]
         state[j] = si
-    return state, 0, 0
-
-
-def _rc4_prga(state, i: int, j: int, length: int):
-    """Emit ``length`` keystream bytes, mutating ``state`` in place.
-
-    Returns (bytes, i, j) so the stream can be resumed later: RC4 is a
-    stream cipher, so a prefix plus a continuation equals one long run.
-    """
     out = bytearray(length)
+    i = j = 0
     for n in range(length):
         i = (i + 1) & 0xFF
         si = state[i]
@@ -57,34 +76,106 @@ def _rc4_prga(state, i: int, j: int, length: int):
         state[i] = sj
         state[j] = si
         out[n] = state[(si + sj) & 0xFF]
-    return bytes(out), i, j
+    return bytes(out)
 
 
-def rc4_keystream(key: bytes, length: int) -> bytes:
-    """Generate ``length`` bytes of RC4 keystream for ``key``."""
-    state, i, j = _rc4_init(key)
-    out, _, _ = _rc4_prga(state, i, j, length)
-    return out
+@functools.lru_cache(maxsize=None)
+def libcrypto_rc4() -> Optional[Keystream]:
+    """The RC4 keystream kernel over CPython's libcrypto, or ``None``.
+
+    Loaded on the first call only.  ``dlsym`` on the ``_hashlib``
+    extension's handle also searches its dependencies, so the kernel
+    runs exactly the OpenSSL that :mod:`hashlib` uses.  ``None`` when
+    the symbols are missing (no ``_hashlib``, an OpenSSL built without
+    its deprecated RC4 API, a platform whose loader does not search
+    dependencies) or the kernel does not reproduce an RFC 6229 vector.
+    """
+    try:
+        import ctypes
+
+        import _hashlib
+
+        # PyDLL keeps the GIL across the two short calls; CDLL would
+        # release and retake it around each.
+        lib = ctypes.PyDLL(_hashlib.__file__)
+        set_key = lib.RC4_set_key
+        rc4 = lib.RC4
+    except (ImportError, OSError, AttributeError):
+        return None
+    # void RC4_set_key(RC4_KEY *key, int len, const unsigned char *data)
+    set_key.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p)
+    set_key.restype = None
+    # void RC4(RC4_KEY *key, size_t len, const unsigned char *in, unsigned char *out)
+    rc4.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_char_p, ctypes.c_void_p)
+    rc4.restype = None
+    kernel = _rc4_kernel(set_key, rc4)
+    if kernel(_CHECK_KEY, len(_CHECK_STREAM)) != _CHECK_STREAM:
+        return None
+    return kernel
+
+
+def _rc4_kernel(set_key: Callable, rc4: Callable) -> Keystream:
+    """A keystream generator over the foreign ``RC4_set_key`` and ``RC4``.
+
+    Arguments are checked before either is called: ``RC4_set_key``
+    with an empty key reads past it, and ``RC4`` writes ``length``
+    bytes into a ``MAX_MESSAGE_LEN``-byte buffer.
+    """
+    import ctypes
+
+    zeros = bytes(MAX_MESSAGE_LEN)
+    new_buffer = ctypes.create_string_buffer
+    # The key state and output are scratch written by every call, and a
+    # thread can be switched out between the two calls, so each thread
+    # gets its own pair.
+    local = threading.local()
+
+    def keystream(key: bytes, length: int) -> bytes:
+        _check_args(key, length)
+        try:
+            state, out = local.buffers
+        except AttributeError:
+            state, out = local.buffers = (
+                new_buffer(_RC4_KEY_BYTES),
+                new_buffer(MAX_MESSAGE_LEN),
+            )
+        set_key(state, len(key), key)
+        rc4(state, length, zeros, out)
+        # Slicing the char array copies out only ``length`` bytes.
+        return out[:length]
+
+    return keystream
+
+
+def _first_keystream(key: bytes, length: int) -> bytes:
+    """Stands in for the generator until its first use picks one."""
+    global _keystream
+    _keystream = libcrypto_rc4() or rc4_keystream
+    return _keystream(key, length)
+
+
+#: The generator :class:`KeystreamCache` fills entries with.
+_keystream: Keystream = _first_keystream
 
 
 class KeystreamCache:
     """Cache of lazily-grown RC4 keystreams keyed by recipient ID.
 
-    One shared instance per simulation keeps total KSA work at
-    O(#distinct recipients) instead of O(#messages).  Keystreams start
-    at ``INITIAL_LEN`` bytes and double (resuming the saved PRGA state)
-    only when a longer message appears, so a key never generates more
-    than the next power of two above its longest message, and families
-    that derive a fresh key per exchange (Sality's per-nonce keys) pay
-    for packet-sized keystreams, not the MAX_MESSAGE_LEN worst case.
+    One shared instance per simulation keeps total key-schedule work at
+    about O(#distinct recipients) instead of O(#messages).  Keystreams
+    start at ``INITIAL_LEN`` bytes and double only when a longer message
+    appears, so a key never holds more than the next power of two above
+    its longest message, and families that derive a fresh key per
+    exchange (Sality's per-nonce keys) pay for packet-sized keystreams,
+    not the MAX_MESSAGE_LEN worst case.
 
-    Each entry is an immutable ``(keystream_int, length, state, i, j)``
-    tuple whose PRGA state is 256 ``bytes``, copied back to a list only
-    when a longer message grows the stream.  Most Sality keys serve one
-    exchange and are never grown: as bytes, a dead entry costs ~0.5 KB
-    in all, where a list of 256 ints alone takes 2.1 KB, and a tuple
-    holding only ints and bytes drops out of the garbage collector's
-    tracked set.
+    Each entry is an immutable ``(keystream_int, length)`` tuple.  A
+    longer message regenerates the stream from its key at the doubled
+    length: with the libcrypto kernel a whole key costs a few
+    microseconds, and a Zeus key doubles at most seven times, so no
+    generator state is kept.  A dead Sality entry thus costs about the
+    tuple and its int, and a tuple of ints drops out of the garbage
+    collector's tracked set.
     """
 
     #: First chunk of keystream computed per key; covers most Sality
@@ -93,33 +184,19 @@ class KeystreamCache:
 
     def __init__(self, max_entries: int = 100_000) -> None:
         self.max_entries = max_entries
-        self._cache: Dict[bytes, Tuple[int, int, bytes, int, int]] = {}
+        self._cache: Dict[bytes, Tuple[int, int]] = {}
 
-    def _entry(self, key: bytes, need: int) -> Tuple[int, int, bytes, int, int]:
+    def _entry(self, key: bytes, need: int) -> Tuple[int, int]:
         entry = self._cache.get(key)
-        if entry is None:
-            if len(self._cache) >= self.max_entries:
+        if entry is None or entry[1] < need:
+            if entry is None and len(self._cache) >= self.max_entries:
                 self._cache.clear()
-            state, i, j = _rc4_init(key)
             length = self.INITIAL_LEN
             while length < need:
                 length <<= 1
             if length > MAX_MESSAGE_LEN:
                 length = MAX_MESSAGE_LEN
-            chunk, i, j = _rc4_prga(state, i, j, length)
-            entry = (int.from_bytes(chunk, "big"), length, bytes(state), i, j)
-            self._cache[key] = entry
-        elif entry[1] < need:
-            stream, length, saved, i, j = entry
-            target = length
-            while target < need:
-                target <<= 1
-            if target > MAX_MESSAGE_LEN:
-                target = MAX_MESSAGE_LEN
-            state = list(saved)
-            extra, i, j = _rc4_prga(state, i, j, target - length)
-            stream = (stream << (8 * (target - length))) | int.from_bytes(extra, "big")
-            entry = (stream, target, bytes(state), i, j)
+            entry = (int.from_bytes(_keystream(key, length), "big"), length)
             self._cache[key] = entry
         return entry
 

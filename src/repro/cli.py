@@ -240,15 +240,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             sample_fault_plan,
         )
 
+        pool_class = LocalHostPool if args.hosts is not None else SubprocessHostPool
         try:
             if args.host_faults:
                 fault_plan = parse_host_faults(args.host_faults)
             elif args.host_fault_seed is not None:
-                fault_plan = sample_fault_plan(args.host_fault_seed, hosts=hosts)
+                # Draw only faults this pool can inject.
+                fault_plan = sample_fault_plan(
+                    args.host_fault_seed, hosts=hosts, kinds=pool_class.supported_faults
+                )
             else:
                 fault_plan = HostFaultPlan()
-            pool = LocalHostPool(hosts) if args.hosts is not None else SubprocessHostPool(hosts)
-            with pool:
+            with pool_class(hosts) as pool:
                 dispatcher = DispatchExecutor(
                     pool=pool,
                     chunk_size=args.chunk_size,

@@ -276,7 +276,7 @@ class DispatchExecutor(_ExecutorBase):
             self._fleet[host]["lost"] = True
             alive_gauge.set(len(alive))
             lost_metric.inc()
-            metrics.pool_restarts += 1  # host losses are the dispatcher's pool events
+            metrics.hosts_lost += 1
             self.pool.discard(host)
             orphans = [index for index in ledger[host] if index not in acked]
             ledger[host] = []

@@ -113,7 +113,7 @@ class SweepMetrics:
     points_total: int = 0
     points_completed: int = 0
     retries: int = 0
-    pool_restarts: int = 0
+    hosts_lost: int = 0
     wall_time: float = 0.0
     point_wall_times: List[float] = field(default_factory=list)
 

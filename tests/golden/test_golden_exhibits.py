@@ -101,7 +101,7 @@ def test_fig2_small_dispatched_with_host_kill_matches_golden():
         hosts=3, fault_plan=parse_host_faults("kill:1@0.5")
     )
     result = executor.run(spec)
-    assert result.metrics.pool_restarts == 1  # the kill really happened
+    assert result.metrics.hosts_lost == 1  # the kill really happened
     _check_golden("fig2_small_sweep.txt", render_result(result))
 
 
@@ -121,8 +121,7 @@ def test_fig3_zeus_small_rendered_golden():
     _check_golden("fig3_zeus_small_sweep.txt", render_result(result))
 
 
-@pytest.fixture(scope="module")
-def fig3_sality_small_result():
+def _run_fig3_sality_small():
     """A small-population Figure 3b sweep (Sality), fully pinned by root
     seed 0."""
     from repro.runner import build_sweep, run_sweep
@@ -139,10 +138,28 @@ def fig3_sality_small_result():
     return run_sweep(spec, workers=1)
 
 
+@pytest.fixture(scope="module")
+def fig3_sality_small_result():
+    return _run_fig3_sality_small()
+
+
 def test_fig3_sality_small_rendered_golden(fig3_sality_small_result):
     from repro.runner import render_result
 
     _check_golden("fig3_sality_small_sweep.txt", render_result(fig3_sality_small_result))
+
+
+def test_fig3_sality_small_rendered_golden_with_pure_python_rc4(monkeypatch):
+    """The pure-Python RC4 fallback reproduces the Fig 3b golden end to
+    end, from empty keystream caches."""
+    from repro.botnets.sality import protocol as sality_protocol
+    from repro.botnets.zeus import crypto
+    from repro.runner import render_result
+
+    monkeypatch.setattr(crypto, "_keystream", crypto.rc4_keystream)
+    monkeypatch.setattr(crypto._shared_cache, "_cache", {})
+    monkeypatch.setattr(sality_protocol, "_keystreams", crypto.KeystreamCache(max_entries=4096))
+    _check_golden("fig3_sality_small_sweep.txt", render_result(_run_fig3_sality_small()))
 
 
 def test_fig3_sality_small_values_golden(fig3_sality_small_result):

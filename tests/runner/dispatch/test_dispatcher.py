@@ -94,7 +94,7 @@ class TestSerialEquivalence:
             hosts=3, fault_plan=parse_host_faults("kill:1@0.5")
         ).run(spec)
         assert _payload(result) == _payload(serial)
-        assert result.metrics.pool_restarts == 1  # one host declared lost
+        assert result.metrics.hosts_lost == 1  # one host declared lost
 
     def test_stall_and_partition_match_serial(self):
         spec = _spec()
@@ -108,14 +108,14 @@ class TestSerialEquivalence:
         plan = parse_host_faults("stall:1@0.3x2")
         result = DispatchExecutor(hosts=3, fault_plan=plan, heartbeat_misses=4).run(spec)
         assert _payload(result) == _payload(SerialExecutor().run(spec))
-        assert result.metrics.pool_restarts == 0  # stall < miss budget
+        assert result.metrics.hosts_lost == 0  # stall < miss budget
 
     def test_long_stall_is_operationally_a_kill(self):
         spec = _spec()
         plan = parse_host_faults("stall:1@0.3x20")
         result = DispatchExecutor(hosts=3, fault_plan=plan, heartbeat_misses=3).run(spec)
         assert _payload(result) == _payload(SerialExecutor().run(spec))
-        assert result.metrics.pool_restarts == 1
+        assert result.metrics.hosts_lost == 1
 
     def test_dispatch_is_deterministic_run_to_run(self):
         spec = _spec()
@@ -124,7 +124,7 @@ class TestSerialEquivalence:
         b = DispatchExecutor(hosts=3, fault_plan=plan, max_retries=6).run(spec)
         assert _payload(a) == _payload(b)
         assert a.metrics.retries == b.metrics.retries
-        assert a.metrics.pool_restarts == b.metrics.pool_restarts
+        assert a.metrics.hosts_lost == b.metrics.hosts_lost
 
 
 class TestFailurePaths:

@@ -3,7 +3,9 @@ sampling, and deterministic trigger evaluation."""
 
 import pytest
 
+from repro.runner.dispatch import LocalHostPool
 from repro.runner.dispatch.faultplan import (
+    FAULT_KINDS,
     KILL,
     PARTITION,
     STALL,
@@ -106,6 +108,12 @@ class TestSample:
     def test_sampled_plans_validate(self):
         for seed in range(50):
             sample_fault_plan(seed, hosts=4).validate(hosts=4)
+
+    def test_default_kinds_plan_pinned(self):
+        """In-process hosts inject every kind, so the CLI's plans for
+        ``--hosts`` are drawn from the default kinds and stay as pinned."""
+        assert LocalHostPool.supported_faults == FAULT_KINDS
+        assert sample_fault_plan(11, hosts=3).label() == "partition:0@0.022x4,kill:0@0.895"
 
 
 class TestInjector:

@@ -141,7 +141,7 @@ class TestSubprocessPool:
             )
             result = executor.run(spec)
         assert json.dumps(result.values()) == json.dumps(serial.values())
-        assert result.metrics.pool_restarts == 1
+        assert result.metrics.hosts_lost == 1
 
     def test_step_feeds_every_idle_host_first(self):
         units = [

@@ -167,6 +167,19 @@ class TestSweepCli:
         assert "[1/" not in err
         assert all(proc.poll() is not None for proc in spawned_hosts)
 
+    def test_host_fault_seed_draws_only_faults_the_workers_inject(self, capsys, spawned_hosts):
+        """Seed 11 draws a partition for in-process hosts, which
+        subprocess hosts cannot inject; for them it draws a kill."""
+        argv = ["sweep", "fig3-zeus", "--scale", "tiny", "--seed", "0", "--json"]
+        assert main(argv + ["--no-progress"]) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["-w", "2", "--host-fault-seed", "11"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == serial
+        assert "host fault injected: kill:1@0.022" in captured.err
+        assert "re-leasing" in captured.err
+        assert all(proc.poll() is not None for proc in spawned_hosts)
+
     def test_json_output(self, capsys):
         argv = [
             "sweep", "fig3-zeus", "--seed", "4", "--ratios", "1",

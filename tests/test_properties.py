@@ -3,6 +3,7 @@ protocol invariants."""
 
 import random
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from repro.botnets.zeus.bot import ZeusBot, ZeusConfig
 from repro.botnets.zeus.crypto import (
     MAX_MESSAGE_LEN,
     KeystreamCache,
+    libcrypto_rc4,
     visual_decode,
     visual_encode,
     zeus_decrypt,
@@ -29,6 +31,7 @@ from repro.core.detection.voting import LeaderVote, retrieve_from_leaders, tally
 from repro.net.address import MAX_IP, format_ip, parse_ip, prefix_mask, subnet_key
 from repro.net.transport import Endpoint, Transport, TransportConfig
 from repro.sim.scheduler import Scheduler
+from tests.botnets.test_zeus_crypto import _textbook_rc4
 
 ips = st.integers(min_value=0, max_value=MAX_IP)
 ports = st.integers(min_value=1, max_value=65535)
@@ -134,6 +137,17 @@ class TestCryptoProperties:
     def test_distinct_keys_distinct_ciphertexts(self, key_a, key_b, plaintext):
         assume(key_a != key_b)
         assert zeus_encrypt(key_a, plaintext) != zeus_encrypt(key_b, plaintext)
+
+    @given(
+        st.binary(min_size=1, max_size=256),
+        st.integers(min_value=0, max_value=MAX_MESSAGE_LEN),
+    )
+    @example(key=b"\x00", length=MAX_MESSAGE_LEN)
+    def test_libcrypto_kernel_matches_textbook_rc4(self, key, length):
+        kernel = libcrypto_rc4()
+        if kernel is None:
+            pytest.skip("libcrypto's RC4 kernel did not load on this platform")
+        assert kernel(key, length) == _textbook_rc4(key, length)
 
 
 class TestZeusCodecProperties:
